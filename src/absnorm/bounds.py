@@ -10,6 +10,11 @@ certificates in both directions:
   by submultiplicativity (the trailing diagonal is dropped because it
   cannot change a 2-norm).
 
+Both families are read off one tree of interior products A D_1 ... D_{k-1} A
+over integer-coded letters, extended level by level by the factors D A.  The
+lower search applies the terminal letter as a column scaling P D_k; the
+growth sequence is the unpruned upper search's per-depth norm maxima.
+
 The upper-bound search runs level-synchronous branch-and-bound with the
 classical delta-relaxed pruning rule: a prefix P of family-length k is
 cut once ||P||^(1/k) <= alpha + prune_delta, where alpha is the best
@@ -34,14 +39,13 @@ import numpy as np
 from .diagonals import (
     DiagonalWord,
     UnimodularDiagonal,
-    enumerate_phase_diagonals,
-    enumerate_sign_diagonals,
+    _alphabet,
     identity_diagonal,
     word_from_json,
     word_to_json,
 )
 from .errors import CapacityError, NonConvergenceError
-from .matrices import COMPLEX, REAL, as_matrix, entrywise_abs, spectral_radius
+from .matrices import COMPLEX, as_matrix, entrywise_abs, spectral_radius
 from .perron import nonneg_spectral_radius
 from .signequiv import EquivalenceWitness, is_nonnegative, sign_equivalent_to_abs
 
@@ -111,28 +115,30 @@ class GrowthReport:
         object.__setattr__(self, "sequence", tuple(float(g) for g in self.sequence))
 
 
-def _search_setup(m, grid_q, quotient):
-    """Letters of the (possibly quotiented) search alphabet.
+def _search_setup(m, grid_q, quotient, depth=0):
+    """Alphabet, matrix in the search dtype and interior factors of a walk.
 
-    Returns (search_field, letter_objects, phase_stack); a real matrix is
-    searched over sign diagonals unless grid_q > 2 forces complex-grid
-    semantics.
+    Returns ``(q, exponents, phases, arr, da)`` with da the factors D·A and q
+    None for sign letters, used unless the matrix is complex or grid_q > 2.
+    A walk of ``depth`` levels over the node budget is refused.
     """
     complex_search = m.field == COMPLEX or grid_q > 2
-    if complex_search:
-        letters = enumerate_phase_diagonals(m.n, grid_q, quotient=quotient)
-    else:
-        letters = enumerate_sign_diagonals(m.n, quotient=quotient)
-    phases = np.stack([d.phases for d in letters])
-    return (COMPLEX if complex_search else REAL), letters, phases
-
-
-def _check_capacity(n_letters, depth):
-    if n_letters**depth > _NODE_BUDGET:
+    q = grid_q if complex_search else None
+    exponents, phases = _alphabet(m.n, q, quotient)
+    if len(phases) ** depth > _NODE_BUDGET:
         raise CapacityError(
-            f"diagonal-word search of {n_letters}^{depth} nodes exceeds "
+            f"diagonal-word search of {len(phases)}^{depth} nodes exceeds "
             f"the {_NODE_BUDGET} node budget"
         )
+    arr = m.arr.astype(np.complex128 if complex_search else np.float64)
+    return q, exponents, phases, arr, phases[:, :, None] * arr[None, :, :]
+
+
+def _check_search_args(max_depth, prune_delta=0.0):
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
+    if prune_delta < 0:
+        raise ValueError("prune_delta must be nonnegative")
 
 
 def _chunked(batch, fn, threads):
@@ -163,11 +169,10 @@ def _batch_radii(batch, threads=1):
 
 
 def _extend(batch, factors, threads=1):
-    """All products ``batch[i] @ factors[l]`` ordered with l fastest."""
-    n = batch.shape[-1]
+    """All products ``batch[i] @ factors[l]``, l fastest; (1, n) row batches work too."""
 
     def block(b):
-        return np.einsum("mij,ljk->mlik", b, factors).reshape(-1, n, n)
+        return np.einsum("mij,ljk->mlik", b, factors).reshape(-1, *b.shape[1:])
 
     return np.concatenate(_chunked(batch, block, threads))
 
@@ -182,12 +187,10 @@ def _first_within_tie(values):
     return first, float(values[first])
 
 
-def _decode_word(flat_index, depth, letters):
-    digits = []
-    for _ in range(depth):
-        flat_index, d = divmod(flat_index, len(letters))
-        digits.append(d)
-    return DiagonalWord(tuple(letters[d] for d in reversed(digits)))
+def _terminal(interior, phases):
+    """All products ``P·D`` (column scaling by each letter), letter fastest."""
+    n = interior.shape[-1]
+    return (interior[:, None, :, :] * phases[None, :, None, :]).reshape(-1, n, n)
 
 
 def _improves(candidate, best):
@@ -197,26 +200,24 @@ def _improves(candidate, best):
 
 
 def _lower_search(m, max_depth, grid_q, threads, quotient, polish):
-    field, letters, phases = _search_setup(m, grid_q, quotient)
-    _check_capacity(len(phases), max_depth)
-    arr = m.arr.astype(np.complex128 if field == COMPLEX else np.float64)
-    # A*D scales columns: stack one factor per letter.
-    ad = arr[None, :, :] * phases[:, None, :]
-
+    q, exponents, phases, arr, da = _search_setup(m, grid_q, quotient, max_depth)
     best = -np.inf
     best_flat, best_depth = 0, 1
     nodes = 0
-    frontier = ad
+    interior = arr[None, :, :]
     for depth in range(1, max_depth + 1):
         if depth > 1:
-            frontier = _extend(frontier, ad, threads)
-        nodes += len(frontier)
-        vals = _batch_radii(frontier, threads) ** (1.0 / depth)
+            interior = _extend(interior, da, threads)
+        terminal = _terminal(interior, phases)
+        nodes += len(terminal)
+        vals = _batch_radii(terminal, threads) ** (1.0 / depth)
         first, cand = _first_within_tie(vals)
         if _improves(cand, best):
             best, best_flat, best_depth = cand, first, depth
-    word = _decode_word(best_flat, best_depth, letters)
-    if polish and field == COMPLEX and m.n > 1:
+    digits = np.unravel_index(best_flat, (len(phases),) * best_depth)
+    letters = (UnimodularDiagonal(phases[d], q=q or 2, indices=exponents[d]) for d in digits)
+    word = DiagonalWord(tuple(letters))
+    if polish and q is not None and m.n > 1:
         best, word = _polish_word(arr, word, best, grid_q)
     return float(best), word, nodes
 
@@ -244,8 +245,7 @@ def mu_lower_bound(
         The bound and a word attaining it.
     """
     m = as_matrix(a)
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    _check_search_args(max_depth)
     value, word, _ = _lower_search(m, max_depth, grid_q, threads, quotient, polish)
     return value, word
 
@@ -283,40 +283,38 @@ def _polish_word(arr, word, best, grid_q):
 
 
 def _upper_search(m, max_depth, grid_q, prune_delta, threads, quotient):
-    field, _, phases = _search_setup(m, grid_q, quotient)
-    _check_capacity(len(phases), max_depth)
-    arr = m.arr.astype(np.complex128 if field == COMPLEX else np.float64)
-    # D*A scales rows: the interior extension factor.
-    da = phases[:, :, None] * arr[None, :, :]
-    # A*D column scaling: depth-1 terminal products seed the lower bound
-    # alpha used by the pruning rule.
-    ad = arr[None, :, :] * phases[:, None, :]
-
-    upper = float(np.linalg.svd(arr, compute_uv=False)[0])
-    alpha = float(_batch_radii(ad, threads).max())
-    nodes = 1 + len(ad)
-    pruning = prune_delta > 0
-    pruned_any = False
+    """``(upper, nodes, maxima)``; maxima[k-1] is the largest norm of a
+    surviving depth-k product, over all words when prune_delta = 0."""
+    _, _, phases, arr, da = _search_setup(m, grid_q, quotient, max_depth)
     frontier = arr[None, :, :]
+    norm = float(np.linalg.svd(arr, compute_uv=False)[0])
+    upper, maxima = norm, [norm]
+    nodes = 1 + len(phases)
+    pruning = prune_delta > 0
+    # Depth-1 terminal products A·D seed alpha, the pruning rule's lower bound.
+    alpha = float(_batch_radii(_terminal(frontier, phases), threads).max()) if pruning else 0.0
+    pruned_any = False
     roots = np.array([upper])
     for depth in range(2, max_depth + 1):
         frontier = _extend(frontier, da, threads)
         nodes += len(frontier)
-        roots = _batch_norms(frontier, threads) ** (1.0 / depth)
+        norms = _batch_norms(frontier, threads)
+        maxima.append(float(norms.max()))
+        roots = norms ** (1.0 / depth)
         if not pruned_any:
             upper = min(upper, float(roots.max()))
         if pruning:
             alpha = max(alpha, float(_batch_radii(frontier, threads).max()) ** (1.0 / depth))
             keep = roots > alpha + prune_delta
             if not keep.any():
-                return min(upper, alpha + prune_delta), nodes
+                return min(upper, alpha + prune_delta), nodes, maxima
             if not keep.all():
                 pruned_any = True
                 frontier = frontier[keep]
                 roots = roots[keep]
     if pruned_any:
         upper = min(upper, max(alpha + prune_delta, float(roots.max())))
-    return upper, nodes
+    return upper, nodes, maxima
 
 
 def mu_upper_bound(
@@ -334,28 +332,9 @@ def mu_upper_bound(
     grid-restricted supremum (callers flag it heuristic).
     """
     m = as_matrix(a)
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    if prune_delta < 0:
-        raise ValueError("prune_delta must be nonnegative")
-    upper, _ = _upper_search(m, max_depth, grid_q, prune_delta, threads, quotient)
+    _check_search_args(max_depth, prune_delta)
+    upper, _, _ = _upper_search(m, max_depth, grid_q, prune_delta, threads, quotient)
     return upper
-
-
-def _level_norm_maxima(m, depth, grid_q, threads):
-    """Exhaustive per-depth maxima of ||A D_1 ... D_{k-1} A||_2, k = 1..depth."""
-    field, _, phases = _search_setup(m, grid_q, True)
-    _check_capacity(len(phases), depth)
-    arr = m.arr.astype(np.complex128 if field == COMPLEX else np.float64)
-    da = phases[:, :, None] * arr[None, :, :]
-    frontier = arr[None, :, :]
-    maxima = [float(np.linalg.svd(arr, compute_uv=False)[0])]
-    nodes = 1
-    for _ in range(2, depth + 1):
-        frontier = _extend(frontier, da, threads)
-        nodes += len(frontier)
-        maxima.append(float(_batch_norms(frontier, threads).max()))
-    return maxima, nodes
 
 
 def mu_bounds(
@@ -377,10 +356,7 @@ def mu_bounds(
     cross-validate the shortcut).
     """
     m = as_matrix(a)
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    if prune_delta < 0:
-        raise ValueError("prune_delta must be nonnegative")
+    _check_search_args(max_depth, prune_delta)
     if tol <= 0:
         raise ValueError("tol must be positive")
     complex_search = m.field == COMPLEX or grid_q > 2
@@ -413,7 +389,7 @@ def mu_bounds(
             )
 
     lower, witness, lower_nodes = _lower_search(m, max_depth, grid_q, threads, True, False)
-    raw_upper, upper_nodes = _upper_search(m, max_depth, grid_q, prune_delta, threads, True)
+    raw_upper, upper_nodes, _ = _upper_search(m, max_depth, grid_q, prune_delta, threads, True)
     rho_abs = nonneg_spectral_radius(entrywise_abs(m), tol=1e-10).rho
     cap = rho_abs + 1e-10
     upper = min(raw_upper, cap)
@@ -449,7 +425,7 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     c = query.level if query.level is not None else spectral_radius(m) + query.eps
     if c <= 0:
         raise ValueError("growth threshold must be positive")
-    maxima, _ = _level_norm_maxima(m, query.m, grid_q, threads)
+    _, _, maxima = _upper_search(m, query.m, grid_q, 0.0, threads, True)
     g = [v / c**k for k, v in enumerate(maxima, start=1)]
 
     depth = query.m

@@ -24,6 +24,7 @@ from .bounds import (
     check_growth_condition,
     mu_bounds,
 )
+from .diagonals import _letter_to_json
 from .errors import AbsnormError, CapacityError, DimensionError, NonConvergenceError
 from .extremal import build_norm, contraction_check, verify_norm_axioms
 from .matrices import (
@@ -122,20 +123,16 @@ def cmd_mu(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _diagonal_payload(d):
-    if d.is_real:
-        return [int(v) for v in d.phases]
-    return [[float(p.real), float(p.imag)] for p in d.phases]
-
-
 def cmd_sign_equiv(cfg: RunConfig) -> int:
     m = load_matrix(cfg.path)
     result = sign_equivalent_to_abs(m)
     if isinstance(result, EquivalenceWitness):
         payload = {
             "verdict": "sign_equivalent",
-            "left": _diagonal_payload(result.left),
-            "right": _diagonal_payload(result.right),
+            # Not canonicalized: scaling either side alone by a unit
+            # would break A = left |A| right.
+            "left": _letter_to_json(result.left),
+            "right": _letter_to_json(result.right),
         }
         lines = [
             "verdict = sign_equivalent",

@@ -9,7 +9,6 @@ first diagonal entry to +1 and shrinks the count by a factor of 2
 (respectively q).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -114,6 +113,32 @@ def identity_diagonal(n: int, real: bool = True) -> UnimodularDiagonal:
     return UnimodularDiagonal(np.ones(n, dtype=np.complex128), q=2, indices=(0,) * n)
 
 
+def _alphabet(n: int, q: int | None, quotient: bool):
+    """Integer-coded letters, lexicographic: ``(exponents, phases)`` of shape (L, n).
+
+    ``q=None`` gives sign diagonals (float +-1 phases), an even q >= 2 the
+    q-th-root grid (exact ``_root_of_unity`` phases); quotient fixes entry 0."""
+    if n < 1:
+        raise DimensionError("dimension must be at least 1")
+    if q is None:
+        if n > _SIGN_ENUMERATION_MAX_N:
+            raise CapacityError(f"sign enumeration capped at n <= {_SIGN_ENUMERATION_MAX_N}")
+        base, roots = 2, np.array([1.0, -1.0])
+    else:
+        if q < 2 or q % 2 != 0:
+            raise ValueError(f"grid order must be even and >= 2, got {q}")
+        if q ** max(n - 1, 1) > _PHASE_ENUMERATION_MAX:
+            raise CapacityError(
+                f"phase enumeration q^(n-1) = {q}^{n - 1} exceeds {_PHASE_ENUMERATION_MAX}"
+            )
+        base, roots = q, np.array([_root_of_unity(k, q) for k in range(q)])
+    free = n - 1 if quotient else n
+    size = base**free
+    exponents = np.zeros((size, n), dtype=int)
+    exponents[:, n - free :] = np.indices((base,) * free).reshape(free, size).T
+    return exponents, roots[exponents]
+
+
 def enumerate_sign_diagonals(n: int, quotient: bool = False) -> list[UnimodularDiagonal]:
     """All sign diagonals of dimension n in lexicographic order (+1 first).
 
@@ -121,17 +146,8 @@ def enumerate_sign_diagonals(n: int, quotient: bool = False) -> list[UnimodularD
     entry +1 are produced; the dropped half are the negations, which act
     identically inside norm and spectral-radius computations.
     """
-    if n < 1:
-        raise DimensionError("dimension must be at least 1")
-    if n > _SIGN_ENUMERATION_MAX_N:
-        raise CapacityError(f"sign enumeration capped at n <= {_SIGN_ENUMERATION_MAX_N}")
-    free = n - 1 if quotient else n
-    out = []
-    for tail in itertools.product((0, 1), repeat=free):
-        idx = (0,) * (n - free) + tail
-        phases = np.array([1.0 if i == 0 else -1.0 for i in idx])
-        out.append(UnimodularDiagonal(phases, q=2, indices=idx))
-    return out
+    exponents, phases = _alphabet(n, None, quotient)
+    return [UnimodularDiagonal(p, q=2, indices=e) for e, p in zip(exponents, phases)]
 
 
 def enumerate_phase_diagonals(n: int, q: int, quotient: bool = False) -> list[UnimodularDiagonal]:
@@ -140,21 +156,8 @@ def enumerate_phase_diagonals(n: int, q: int, quotient: bool = False) -> list[Un
     ``q`` must be even and at least 2 so the grid contains +-1.  The
     quotient mode fixes the first entry to 1, giving q**(n-1) members.
     """
-    if n < 1:
-        raise DimensionError("dimension must be at least 1")
-    if q < 2 or q % 2 != 0:
-        raise ValueError(f"grid order must be even and >= 2, got {q}")
-    if q ** max(n - 1, 1) > _PHASE_ENUMERATION_MAX:
-        raise CapacityError(
-            f"phase enumeration q^(n-1) = {q}^{n - 1} exceeds {_PHASE_ENUMERATION_MAX}"
-        )
-    roots = np.array([_root_of_unity(k, q) for k in range(q)])
-    free = n - 1 if quotient else n
-    out = []
-    for tail in itertools.product(range(q), repeat=free):
-        idx = (0,) * (n - free) + tail
-        out.append(UnimodularDiagonal(roots[list(idx)], q=q, indices=idx))
-    return out
+    exponents, phases = _alphabet(n, q, quotient)
+    return [UnimodularDiagonal(p, q=q, indices=e) for e, p in zip(exponents, phases)]
 
 
 @dataclass(frozen=True)
@@ -229,15 +232,15 @@ def word_product(a, word: DiagonalWord, terminal: bool = False) -> Matrix:
 def word_to_json(word: DiagonalWord) -> list:
     """Serialize a word: sign vectors for real letters, grid indices for
     on-grid complex letters, [re, im] pairs otherwise."""
-    out = []
-    for d in word.canonical().letters:
-        if d.is_real:
-            out.append([int(v) for v in d.phases])
-        elif d.indices is not None:
-            out.append([int(i) for i in d.indices])
-        else:
-            out.append([[float(p.real), float(p.imag)] for p in d.phases])
-    return out
+    return [_letter_to_json(d) for d in word.canonical().letters]
+
+
+def _letter_to_json(d: UnimodularDiagonal) -> list:
+    if d.is_real:
+        return [int(v) for v in d.phases]
+    if d.indices is not None:
+        return [int(i) for i in d.indices]
+    return [[float(p.real), float(p.imag)] for p in d.phases]
 
 
 def word_from_json(data, grid_q: int | None = None) -> DiagonalWord:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _search_setup, mu_bounds
+from .bounds import _extend, _search_setup, mu_bounds
 from .errors import CapacityError, DimensionError
 from .matrices import (
     COMPLEX,
@@ -81,11 +81,6 @@ class TruncatedExtremalNorm:
         return self.matrix.field == COMPLEX or self.grid_q > 2
 
 
-def _letter_phases(norm: TruncatedExtremalNorm):
-    _, _, phases = _search_setup(norm.matrix, norm.grid_q, True)
-    return phases
-
-
 def _check_eval_capacity(n_letters, depth, beam):
     width = 1
     for _ in range(depth):
@@ -113,11 +108,11 @@ def build_norm(a, c: float, m: int, grid_q: int = 2, beam: int | None = None) ->
         raise ValueError("truncation depth m must be nonnegative")
     if beam is not None and beam < 1:
         raise ValueError("beam width must be at least 1")
-    _, _, phases = _search_setup(mat, grid_q, True)
-    _check_eval_capacity(len(phases), m, beam)
+    letters = len(_search_setup(mat, grid_q, True)[1])
+    _check_eval_capacity(letters, m, beam)
 
     cross_depth = 1
-    while cross_depth < 4 and len(phases) ** (cross_depth + 1) <= 10**6:
+    while cross_depth < 4 and letters ** (cross_depth + 1) <= 10**6:
         cross_depth += 1
     report = mu_bounds(mat, max_depth=cross_depth, grid_q=grid_q, prune_delta=1e-3)
     certified = report.upper
@@ -144,19 +139,19 @@ def build_norm(a, c: float, m: int, grid_q: int = 2, beam: int | None = None) ->
 
 def _eval_levels(norm: TruncatedExtremalNorm, x, depth):
     """Forward level-set evaluation up to ``depth`` words."""
-    phases = _letter_phases(norm)
-    _check_eval_capacity(len(phases), depth, norm.beam)
+    # Factors D·A^T: a row vector x times one is (A D x)^T.
+    transposed = Matrix(norm.matrix.field, norm.matrix.arr.T)
+    factors = _search_setup(transposed, norm.grid_q, True)[-1]
+    _check_eval_capacity(len(factors), depth, norm.beam)
     complex_data = norm.complex_letters or np.iscomplexobj(x)
     dtype = np.complex128 if complex_data else np.float64
-    arr = norm.matrix.arr.astype(dtype)
-    level = np.asarray(x, dtype=dtype)[None, :]
-    best = float(np.linalg.norm(level[0]))
+    level = np.asarray(x, dtype=dtype)[None, None, :]
+    best = float(np.linalg.norm(level[0, 0]))
     scale = 1.0
     for _ in range(depth):
         scale /= norm.c
-        spun = level[:, None, :] * phases[None, :, :].astype(dtype)
-        level = spun.reshape(-1, norm.n) @ arr.T
-        norms = np.linalg.norm(level, axis=1)
+        level = _extend(level, factors)
+        norms = np.linalg.norm(level[:, 0], axis=1)
         best = max(best, scale * float(norms.max()))
         if norm.beam is not None and len(level) > norm.beam:
             order = np.argsort(-norms, kind="stable")[: norm.beam]

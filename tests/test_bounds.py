@@ -6,6 +6,7 @@ import pytest
 
 from absnorm import (
     CapacityError,
+    DiagonalWord,
     GrowthQuery,
     as_matrix,
     bounds_report_from_json,
@@ -15,6 +16,8 @@ from absnorm import (
     mu_bounds,
     mu_lower_bound,
     mu_upper_bound,
+    enumerate_phase_diagonals,
+    enumerate_sign_diagonals,
     spectral_norm,
     spectral_radius,
     word_product,
@@ -346,6 +349,35 @@ class TestGrowthCondition:
     def test_sequence_reported_raw(self):
         report = check_growth_condition(SHARP, GrowthQuery(eps=None, m=4, level=1.0))
         assert report.sequence == pytest.approx((2.0, 4.0, 8.0, 16.0), rel=1e-12)
+
+    @staticmethod
+    def plain_loop_sequence(a, c, m, letters):
+        """max over all words of ||A D_1 ... D_{k-1} A||_2 / c^k, one word at a time."""
+        seq = []
+        for k in range(1, m + 1):
+            best = max(
+                spectral_norm(word_product(a, DiagonalWord(w)))
+                for w in itertools.product(letters, repeat=k - 1)
+            )
+            seq.append(best / c**k)
+        return seq
+
+    def test_sequence_matches_plain_loop_real(self):
+        a = np.random.default_rng(21).standard_normal((3, 3))
+        report = check_growth_condition(a, GrowthQuery(eps=0.1, m=6))
+        oracle = self.plain_loop_sequence(
+            a, report.threshold, 6, enumerate_sign_diagonals(3)
+        )
+        assert report.sequence == pytest.approx(oracle, rel=1e-12)
+
+    def test_sequence_matches_plain_loop_complex_grid(self):
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        report = check_growth_condition(a, GrowthQuery(eps=0.1, m=4), grid_q=4)
+        oracle = self.plain_loop_sequence(
+            a, report.threshold, 4, enumerate_phase_diagonals(2, 4)
+        )
+        assert report.sequence == pytest.approx(oracle, rel=1e-12)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):

@@ -173,6 +173,29 @@ class TestSignEquiv:
         payload = json.loads(out)
         assert payload["left"] == [1, 1] and payload["right"] == [1, 1]
 
+    def test_complex_witness_rebuilds_matrix(self, capsys, tmp_path):
+        # Planted A = D1 |A| D2 with off-grid phases; D2's first entry is not
+        # 1, so canonicalizing either side alone would break the identity.
+        rng = np.random.default_rng(8)
+        n = 3
+        b = rng.random((n, n)) + 0.1
+        b[0, 2] = 0.0
+        d1 = np.exp(2j * np.pi * rng.random(n))
+        d2 = np.exp(2j * np.pi * rng.random(n))
+        a = d1[:, None] * b * d2[None, :]
+        rows = [[[z.real, z.imag] for z in row] for row in a]
+        path = tmp_path / "planted.json"
+        path.write_text(json.dumps({"field": "complex", "n": n, "rows": rows}))
+        code, out = run(capsys, ["sign-equiv", str(path), "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["verdict"] == "sign_equivalent"
+        left = np.array([complex(re, im) for re, im in payload["left"]])
+        right = np.array([complex(re, im) for re, im in payload["right"]])
+        assert abs(right[0] - 1) > 0.1
+        rebuilt = left[:, None] * np.abs(a) * right[None, :]
+        assert np.allclose(rebuilt, a, rtol=0, atol=1e-12)
+
 
 class TestGrowth:
     def test_growing_with_level(self, capsys, sharp_file):

@@ -10,11 +10,13 @@ from absnorm import (
     enumerate_phase_diagonals,
     enumerate_sign_diagonals,
     identity_diagonal,
+    mu_bounds,
     spectral_norm,
     word_from_json,
     word_product,
     word_to_json,
 )
+from absnorm.diagonals import _alphabet
 
 
 class TestSignEnumeration:
@@ -81,6 +83,27 @@ class TestPhaseEnumeration:
     def test_exact_unit_modulus(self):
         for d in enumerate_phase_diagonals(2, 8, quotient=True):
             assert np.all(np.abs(np.abs(d.phases) - 1) < 1e-15)
+
+
+class TestIntegerAlphabet:
+    @pytest.mark.parametrize("quotient", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_enumerations_stack_to_alphabet(self, n, quotient):
+        cases = [(None, enumerate_sign_diagonals(n, quotient=quotient))]
+        cases += [(q, enumerate_phase_diagonals(n, q, quotient=quotient)) for q in (2, 4, 6)]
+        for q, letters in cases:
+            exponents, phases = _alphabet(n, q, quotient)
+            stacked = np.stack([d.phases for d in letters])
+            indices = np.array([d.indices for d in letters])
+            assert stacked.dtype == phases.dtype and np.array_equal(stacked, phases)
+            assert indices.dtype == exponents.dtype and np.array_equal(indices, exponents)
+
+    def test_grid_witness_serializes_exponents(self):
+        a = np.array([[1.0 + 0.5j, 1.0], [1.0j, -1.0]])
+        report = mu_bounds(a, max_depth=2, grid_q=4, use_shortcut=False)
+        letters = report.lower_witness.letters
+        assert all(d.q == 4 and d.indices is not None for d in letters)
+        assert word_to_json(report.lower_witness) == [list(d.indices) for d in letters]
 
 
 class TestWordProduct:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,6 +11,8 @@ from absnorm import (
     check_growth_condition,
     complexify_gap_search,
     contraction_check,
+    enumerate_phase_diagonals,
+    enumerate_sign_diagonals,
     eval_norm,
     norm_from_json,
     norm_to_json,
@@ -115,6 +118,42 @@ class TestEval:
             l2 = np.linalg.norm(x)
             assert v >= l2 * (1 - 1e-12)
             assert v <= upper_const * l2 * (1 + 1e-12)
+
+    @staticmethod
+    def brute_force(a, c, m, letters, x):
+        """max_k c^-k ||A D_k ... A D_1 x||_2 over every word, one at a time."""
+        best = np.linalg.norm(x)
+        for k in range(1, m + 1):
+            for word in itertools.product(letters, repeat=k):
+                v = x
+                for d in word:
+                    v = a @ (d.phases * v)
+                best = max(best, np.linalg.norm(v) / c**k)
+        return best
+
+    def test_matches_brute_force_real(self):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((3, 3))
+        c = 1.1 * nonneg_spectral_radius(np.abs(a)).rho
+        norm = build_norm(a, c=c, m=4)
+        letters = enumerate_sign_diagonals(3)
+        for _ in range(3):
+            x = rng.standard_normal(3)
+            assert eval_norm(norm, x) == pytest.approx(
+                self.brute_force(a, c, 4, letters, x), rel=1e-13
+            )
+
+    def test_matches_brute_force_grid(self):
+        rng = np.random.default_rng(32)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        c = 1.1 * nonneg_spectral_radius(np.abs(a)).rho
+        norm = build_norm(a, c=c, m=3, grid_q=4)
+        letters = enumerate_phase_diagonals(2, 4)
+        for _ in range(3):
+            x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            assert eval_norm(norm, x) == pytest.approx(
+                self.brute_force(a, c, 3, letters, x), rel=1e-13
+            )
 
     def test_rejects_complex_vector_on_real_letters(self, sharp_norm):
         with pytest.raises(ValueError):

@@ -143,6 +143,20 @@ class TestOptimalWeightedL1:
             rho = nonneg_spectral_radius(b).rho
             assert induced_norm(b, norm) <= rho + eps + 1e-9
 
+    def test_certificate_is_the_perron_vector(self):
+        # Same random suite as above: the weights are the certificate vector
+        # of the spectral-radius call at tolerance min(eps/10, 1e-8), so the
+        # induced norm is that call's rho, not merely rho + eps.
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            n = int(rng.integers(1, 9))
+            b = rng.random((n, n)) * (rng.random() * 3)
+            b[rng.random((n, n)) < 0.3] = 0.0
+            eps = 1e-1 if trial % 2 == 0 else 1e-3
+            norm = optimal_weighted_l1(b, eps=eps)
+            rho = nonneg_spectral_radius(b, tol=min(eps / 10.0, 1e-8)).rho
+            assert induced_norm(b, norm) <= rho * (1 + 1e-12)
+
     def test_zero_matrix(self):
         norm = optimal_weighted_l1(np.zeros((2, 2)), eps=0.1)
         assert np.all(norm.w > 0) and norm.p == 1

@@ -10,19 +10,24 @@ certificates in both directions:
   by submultiplicativity (the trailing diagonal is dropped because it
   cannot change a 2-norm).
 
-Both families are read off one tree of interior products A D_1 ... D_{k-1} A
-over integer-coded letters, extended level by level by the factors D A.  The
-lower search applies the terminal letter as a column scaling P D_k; the
-growth sequence is the unpruned upper search's per-depth norm maxima.
+Both families are read off one walk over the tree of interior products
+P = A D_1 ... D_{k-1} A (integer-coded letters, extended level by level by
+the factors D A) that takes each interior's 2-norm once.  The lower side
+applies the terminal letter as a column scaling P D_k and, as
+rho(P D_k) <= ||P D_k|| = ||P||, eigensolves only the prefixes with
+||P||^(1/k) within twice the tie slack of the best value so far; the
+exhaustive maximum and its lexicographic tie-break are unchanged.
 
-The upper-bound search runs level-synchronous branch-and-bound with the
-classical delta-relaxed pruning rule: a prefix P of family-length k is
-cut once ||P||^(1/k) <= alpha + prune_delta, where alpha is the best
-lower bound seen so far.  If pruning empties the frontier the value
-alpha + prune_delta itself is a certified upper bound; if the frontier
-survives to the depth cap, max(alpha + prune_delta, best frontier
-norm^(1/depth)) is.  With prune_delta = 0 no pruning is applied and the
-search degenerates to exhaustive level-by-level evaluation.
+The upper side is level-synchronous branch-and-bound over a mask of alive
+interiors with the classical delta-relaxed rule: P is cut once
+||P||^(1/k) <= alpha + prune_delta, alpha being the best rho^(1/k) of the
+depth-1 words and the alive interiors (eigensolved only where the norm
+can raise it).  If pruning empties the mask, alpha + prune_delta itself is
+a certified upper bound; otherwise max(alpha + prune_delta, best alive
+norm^(1/depth)) is.  prune_delta = 0 prunes nothing.
+
+All searches run on 2^-e A with 2^e just above max|a_ij| and scale back
+exactly, so products at scales like 1e-200 or 1e100 stay in range.
 
 Over the reals the diagonal group is enumerated exactly, so both bounds
 are certified.  Over the complexes the group is replaced by the grid of
@@ -45,7 +50,7 @@ from .diagonals import (
     word_to_json,
 )
 from .errors import CapacityError, NonConvergenceError
-from .matrices import COMPLEX, as_matrix, entrywise_abs, spectral_radius
+from .matrices import COMPLEX, Matrix, as_matrix, entrywise_abs, spectral_radius
 from .perron import nonneg_spectral_radius
 from .signequiv import EquivalenceWitness, is_nonnegative, sign_equivalent_to_abs
 
@@ -199,27 +204,68 @@ def _improves(candidate, best):
     return candidate > best + _TIE_REL * max(1.0, abs(best))
 
 
-def _lower_search(m, max_depth, grid_q, threads, quotient, polish):
-    q, exponents, phases, arr, da = _search_setup(m, grid_q, quotient, max_depth)
-    best = -np.inf
-    best_flat, best_depth = 0, 1
-    nodes = 0
+def _normalized(m):
+    """``(2^-e A, e)`` with 2^(e-1) <= max|a_ij| < 2^e (e = 0 for A = 0), e clipped
+    to +-1021 so that the scale factors 2.0**+-e are normal floats."""
+    e = int(np.clip(np.frexp(np.abs(m.arr).max())[1], -1021, 1021))
+    return Matrix(m.field, np.ldexp(m.arr.view(np.float64), -e).view(m.arr.dtype)), e
+
+
+def _levels(arr, da, max_depth, threads):
+    """``(depth, interiors, norms)`` of each level of the interior tree."""
     interior = arr[None, :, :]
     for depth in range(1, max_depth + 1):
         if depth > 1:
             interior = _extend(interior, da, threads)
-        terminal = _terminal(interior, phases)
-        nodes += len(terminal)
-        vals = _batch_radii(terminal, threads) ** (1.0 / depth)
-        first, cand = _first_within_tie(vals)
-        if _improves(cand, best):
-            best, best_flat, best_depth = cand, first, depth
-    digits = np.unravel_index(best_flat, (len(phases),) * best_depth)
+        yield depth, interior, _batch_norms(interior, threads)
+
+
+def _walk(m, max_depth, grid_q, prune_delta, threads, quotient):
+    """``(lower, witness, upper, nodes)`` of one walk; see the module docstring."""
+    q, exponents, phases, arr, da = _search_setup(m, grid_q, quotient, max_depth)
+    size = len(phases)
+    best, best_flat, best_depth = -np.inf, 0, 1
+    upper, alpha, pruned_any = np.inf, 0.0, False
+    nodes = size  # the depth-1 words that seed alpha
+    alive = np.ones(1, dtype=bool)
+    for depth, interior, norms in _levels(arr, da, max_depth, threads):
+        alive = np.repeat(alive, size) if depth > 1 else alive
+        roots = norms ** (1.0 / depth)
+
+        # Lower: rho(P D) <= ||P D|| = ||P||, so only the prefixes whose norm
+        # reaches the best value within twice the tie slack are eigensolved.
+        nodes += size**depth
+        cand = np.flatnonzero(roots >= best - 2 * _TIE_REL * max(1.0, abs(best)))
+        if cand.size:
+            radii = _batch_radii(_terminal(interior[cand], phases), threads)
+            first, value = _first_within_tie(radii ** (1.0 / depth))
+            if _improves(value, best):
+                best, best_depth = value, depth
+                best_flat = int(cand[first // size]) * size + first % size
+            if depth == 1:
+                alpha = float(radii.max())
+
+        # Upper: the alive interiors, cut once their root is <= alpha + delta.
+        if not alive.any():
+            continue
+        nodes += int(alive.sum())
+        if not pruned_any:
+            upper = min(upper, float(roots.max()))
+        if prune_delta > 0 and depth > 1:
+            gate = np.flatnonzero(alive & (roots >= alpha - 2 * _TIE_REL * max(1.0, alpha)))
+            if gate.size:
+                top = float(_batch_radii(interior[gate], threads).max())
+                alpha = max(alpha, top ** (1.0 / depth))
+            keep = alive & (roots > alpha + prune_delta)
+            pruned_any = pruned_any or not np.array_equal(keep, alive)
+            alive = keep
+            if not alive.any():
+                upper = min(upper, alpha + prune_delta)
+    if pruned_any and alive.any():
+        upper = min(upper, max(alpha + prune_delta, float(roots[alive].max())))
+    digits = np.unravel_index(best_flat, (size,) * best_depth)
     letters = (UnimodularDiagonal(phases[d], q=q or 2, indices=exponents[d]) for d in digits)
-    word = DiagonalWord(tuple(letters))
-    if polish and q is not None and m.n > 1:
-        best, word = _polish_word(arr, word, best, grid_q)
-    return float(best), word, nodes
+    return float(best), DiagonalWord(tuple(letters)), upper, nodes
 
 
 def mu_lower_bound(
@@ -246,8 +292,11 @@ def mu_lower_bound(
     """
     m = as_matrix(a)
     _check_search_args(max_depth)
-    value, word, _ = _lower_search(m, max_depth, grid_q, threads, quotient, polish)
-    return value, word
+    s, e = _normalized(m)
+    value, word, _, _ = _walk(s, max_depth, grid_q, 0.0, threads, quotient)
+    if polish and (m.field == COMPLEX or grid_q > 2) and m.n > 1:
+        value, word = _polish_word(s.arr.astype(np.complex128), word, value, grid_q)
+    return value * 2.0**e, word
 
 
 def _polish_word(arr, word, best, grid_q):
@@ -282,41 +331,6 @@ def _polish_word(arr, word, best, grid_q):
     return best, word
 
 
-def _upper_search(m, max_depth, grid_q, prune_delta, threads, quotient):
-    """``(upper, nodes, maxima)``; maxima[k-1] is the largest norm of a
-    surviving depth-k product, over all words when prune_delta = 0."""
-    _, _, phases, arr, da = _search_setup(m, grid_q, quotient, max_depth)
-    frontier = arr[None, :, :]
-    norm = float(np.linalg.svd(arr, compute_uv=False)[0])
-    upper, maxima = norm, [norm]
-    nodes = 1 + len(phases)
-    pruning = prune_delta > 0
-    # Depth-1 terminal products A·D seed alpha, the pruning rule's lower bound.
-    alpha = float(_batch_radii(_terminal(frontier, phases), threads).max()) if pruning else 0.0
-    pruned_any = False
-    roots = np.array([upper])
-    for depth in range(2, max_depth + 1):
-        frontier = _extend(frontier, da, threads)
-        nodes += len(frontier)
-        norms = _batch_norms(frontier, threads)
-        maxima.append(float(norms.max()))
-        roots = norms ** (1.0 / depth)
-        if not pruned_any:
-            upper = min(upper, float(roots.max()))
-        if pruning:
-            alpha = max(alpha, float(_batch_radii(frontier, threads).max()) ** (1.0 / depth))
-            keep = roots > alpha + prune_delta
-            if not keep.any():
-                return min(upper, alpha + prune_delta), nodes, maxima
-            if not keep.all():
-                pruned_any = True
-                frontier = frontier[keep]
-                roots = roots[keep]
-    if pruned_any:
-        upper = min(upper, max(alpha + prune_delta, float(roots.max())))
-    return upper, nodes, maxima
-
-
 def mu_upper_bound(
     a,
     max_depth: int,
@@ -333,8 +347,8 @@ def mu_upper_bound(
     """
     m = as_matrix(a)
     _check_search_args(max_depth, prune_delta)
-    upper, _, _ = _upper_search(m, max_depth, grid_q, prune_delta, threads, quotient)
-    return upper
+    s, e = _normalized(m)
+    return _walk(s, max_depth, grid_q, prune_delta * 2.0**-e, threads, quotient)[2] * 2.0**e
 
 
 def mu_bounds(
@@ -388,17 +402,17 @@ def mu_bounds(
                 upper_heuristic=False,
             )
 
-    lower, witness, lower_nodes = _lower_search(m, max_depth, grid_q, threads, True, False)
-    raw_upper, upper_nodes, _ = _upper_search(m, max_depth, grid_q, prune_delta, threads, True)
-    rho_abs = nonneg_spectral_radius(entrywise_abs(m), tol=1e-10).rho
-    cap = rho_abs + 1e-10
-    upper = min(raw_upper, cap)
+    s, e = _normalized(m)
+    lower, witness, raw_upper, nodes = _walk(
+        s, max_depth, grid_q, prune_delta * 2.0**-e, threads, True
+    )
+    cap = nonneg_spectral_radius(entrywise_abs(s), tol=1e-10).rho + 1e-10
     heuristic = complex_search and m.n > 1 and raw_upper < cap
-    nodes = lower_nodes + upper_nodes
+    lower, upper = lower * 2.0**e, min(raw_upper, cap) * 2.0**e
     exact = (not heuristic) and (upper - lower <= tol)
     return BoundsReport(
-        lower=float(lower),
-        upper=float(upper),
+        lower=lower,
+        upper=upper,
         lower_witness=witness,
         depth_explored=max_depth,
         nodes_visited=nodes,
@@ -425,8 +439,10 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     c = query.level if query.level is not None else spectral_radius(m) + query.eps
     if c <= 0:
         raise ValueError("growth threshold must be positive")
-    _, _, maxima = _upper_search(m, query.m, grid_q, 0.0, threads, True)
-    g = [v / c**k for k, v in enumerate(maxima, start=1)]
+    s, e = _normalized(m)
+    arr, da = _search_setup(s, grid_q, True, query.m)[3:]
+    c_s = c * 2.0**-e
+    g = [float(norms.max()) / c_s**k for k, _, norms in _levels(arr, da, query.m, threads)]
 
     depth = query.m
     if depth < 2:

@@ -7,7 +7,7 @@ stdin ("-") either in the shared JSON schema or as a whitespace grid of
 real numbers, one row per line.
 
 Exit codes: 0 success, 1 demo fixture failure, 2 invalid input,
-3 computational failure (non-convergence or capacity).
+3 computational failure (non-convergence, capacity or out of memory).
 """
 
 import argparse
@@ -347,6 +347,9 @@ def main(argv=None) -> int:
         return _COMMANDS[cfg.command](cfg)
     except (NonConvergenceError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_COMPUTE_ERROR
     except (DimensionError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

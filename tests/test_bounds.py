@@ -388,6 +388,187 @@ class TestGrowthCondition:
             GrowthQuery(eps=0.1, m=0)
 
 
+def word_loop_lower(a, max_depth, grid_q=None, quotient=True):
+    """Plain word-by-word lower search with the engine's tie rule.
+
+    Every word D_1..D_k gets rho(A D_1 ... A D_k)^(1/k); per depth the first
+    word within 1e-12 relative of the maximum is kept, and it replaces the
+    best so far only when larger by more than 1e-12 relative.
+    Returns the value and the witness's letters as phase vectors.
+    """
+    a = np.asarray(a, dtype=complex if grid_q else float)
+    n = a.shape[0]
+    found = (
+        enumerate_phase_diagonals(n, grid_q, quotient)
+        if grid_q
+        else enumerate_sign_diagonals(n, quotient)
+    )
+    letters = [d.phases for d in found]
+    best, best_word = -np.inf, None
+    for k in range(1, max_depth + 1):
+        words = list(itertools.product(range(len(letters)), repeat=k))
+        values = []
+        for w in words:
+            p = np.eye(n)
+            for i in w:
+                p = (p @ a) * letters[i][None, :]
+            values.append(float(np.abs(np.linalg.eigvals(p)).max()) ** (1.0 / k))
+        top = max(values)
+        first = next(i for i, v in enumerate(values) if v >= top - 1e-12 * max(1.0, top))
+        if best == -np.inf or values[first] > best + 1e-12 * max(1.0, abs(best)):
+            best, best_word = values[first], words[first]
+    return best, [letters[i] for i in best_word]
+
+
+def word_loop_upper(a, max_depth, prune_delta):
+    """The pruned upper search over plain lists of products, one product at a time.
+
+    Returns the bound and the number of products it visited (the depth-1
+    words that seed alpha, then every surviving interior).
+    """
+    a = np.asarray(a, dtype=float)
+    letters = sign_letters(a.shape[0])
+
+    def rho(p):
+        return float(np.abs(np.linalg.eigvals(p)).max())
+
+    upper = float(np.linalg.norm(a, 2))
+    alpha = max(rho(a * d[None, :]) for d in letters)
+    level, roots, pruned = [a], [upper], False
+    visited = 1 + len(letters)
+    for k in range(2, max_depth + 1):
+        level = [(p * d[None, :]) @ a for p in level for d in letters]
+        visited += len(level)
+        roots = [float(np.linalg.norm(p, 2)) ** (1.0 / k) for p in level]
+        if not pruned:
+            upper = min(upper, max(roots))
+        alpha = max(alpha, max(rho(p) for p in level) ** (1.0 / k))
+        keep = [r > alpha + prune_delta for r in roots]
+        if not any(keep):
+            return min(upper, alpha + prune_delta), visited
+        pruned = pruned or not all(keep)
+        level = [p for p, kept in zip(level, keep) if kept]
+        roots = [r for r, kept in zip(roots, keep) if kept]
+    if pruned:
+        upper = min(upper, max(alpha + prune_delta, max(roots)))
+    return upper, visited
+
+
+def _walk_case(kind):
+    if kind == "deep":
+        # Its witness has length 6, found where the norm gate is selective.
+        return np.random.default_rng(36).standard_normal((3, 3))
+    rng = np.random.default_rng(30)
+    if kind == "integer":
+        return rng.integers(-1, 3, size=(3, 3)).astype(float)
+    if kind == "nilpotent":
+        return np.triu(rng.standard_normal((3, 3)), 1)
+    if kind == "zero":
+        return np.zeros((3, 3))
+    if kind == "complex":
+        return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return rng.standard_normal((3, 3))
+
+
+class TestWalk:
+    @pytest.mark.parametrize(
+        "kind, depth, grid_q, quotient",
+        [
+            ("random", 5, None, True),
+            ("deep", 6, None, True),
+            ("random", 3, None, False),
+            ("integer", 4, None, True),
+            ("integer", 3, None, False),
+            ("nilpotent", 4, None, True),
+            ("zero", 3, None, True),
+            ("complex", 4, 4, True),
+            ("complex", 3, 4, False),
+        ],
+    )
+    def test_lower_matches_word_loop(self, kind, depth, grid_q, quotient):
+        a = _walk_case(kind)
+        value, word = mu_lower_bound(a, max_depth=depth, grid_q=grid_q or 2, quotient=quotient)
+        expected, letters = word_loop_lower(a, depth, grid_q, quotient)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert word.k == len(letters)
+        for got, want in zip(word.letters, letters):
+            assert np.array_equal(got.phases, want)
+
+    @pytest.mark.parametrize(
+        "n, depth, seed, prune_delta",
+        [(2, 8, 20, 1e-3), (2, 8, 10, 1e-4), (3, 5, 34, 1e-3), (3, 5, 35, 0.05), (4, 4, 34, 1e-3)],
+    )
+    def test_upper_matches_word_loop(self, n, depth, seed, prune_delta):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        expected, visited = word_loop_upper(a, depth, prune_delta)
+        upper = mu_upper_bound(a, max_depth=depth, prune_delta=prune_delta)
+        assert upper == pytest.approx(expected, rel=1e-12)
+        report = mu_bounds(a, max_depth=depth, prune_delta=prune_delta, use_shortcut=False)
+        terminal_words = sum(2 ** ((n - 1) * k) for k in range(1, depth + 1))
+        assert report.nodes_visited == terminal_words + visited
+
+    def test_threads_agree_across_chunks(self):
+        import absnorm.bounds as bounds_mod
+
+        # A 2x2 at depth 18 has 2^17 interiors in its last level: two chunks.
+        assert 2**17 > bounds_mod._CHUNK
+        a = np.random.default_rng(31).standard_normal((2, 2))
+        one = mu_bounds(a, max_depth=18, threads=1, use_shortcut=False)
+        two = mu_bounds(a, max_depth=18, threads=2, use_shortcut=False)
+        assert bounds_report_to_json(one) == bounds_report_to_json(two)
+
+    def test_eigensolves_are_gated(self, monkeypatch):
+        import absnorm.bounds as bounds_mod
+
+        solved = []
+        radii = bounds_mod._batch_radii
+
+        def counting(batch, threads=1):
+            solved.append(len(batch))
+            return radii(batch, threads)
+
+        monkeypatch.setattr(bounds_mod, "_batch_radii", counting)
+        a = np.random.default_rng(32).standard_normal((4, 4))
+        report = mu_bounds(a, max_depth=6, use_shortcut=False)
+        assert 0 < sum(solved) < 0.1 * report.nodes_visited
+
+    def test_power_of_two_scaling_is_exact(self):
+        # prune_delta and tol are absolute, so they scale with the matrix.
+        a = np.random.default_rng(33).standard_normal((3, 3))
+        base = mu_bounds(a, max_depth=5, use_shortcut=False)
+        for k in (-600, -7, 9, 700):
+            f = 2.0**k
+            scaled = mu_bounds(a * f, max_depth=5, prune_delta=1e-3 * f, tol=1e-9 * f,
+                               use_shortcut=False)
+            assert (scaled.lower, scaled.upper) == (base.lower * f, base.upper * f)
+            assert scaled.lower_witness == base.lower_witness
+            assert (scaled.nodes_visited, scaled.exact) == (base.nodes_visited, base.exact)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e100])
+class TestScale:
+    """mu(sH) = sqrt(2)|s| for the Hadamard-sign matrix H at any scale."""
+
+    def test_mu_bounds(self, s):
+        report = mu_bounds(s * HADAMARD, max_depth=4)
+        assert report.lower <= report.upper
+        assert report.lower == pytest.approx(s * ROOT2, rel=1e-12)
+        assert report.upper == pytest.approx(s * ROOT2, rel=1e-12)
+        assert report.exact
+
+    def test_lower_and_upper(self, s):
+        value, word = mu_lower_bound(s * HADAMARD, max_depth=4)
+        assert value == pytest.approx(s * ROOT2, rel=1e-12)
+        assert word_to_json(word) == [[1, 1]]
+        assert mu_upper_bound(s * HADAMARD, max_depth=4) == pytest.approx(s * ROOT2, rel=1e-12)
+
+    def test_growth(self, s):
+        report = check_growth_condition(s * HADAMARD, GrowthQuery(eps=0.1 * s, m=4))
+        ratio = ROOT2 / (ROOT2 + 0.1)
+        assert report.verdict == "bounded"
+        assert report.sequence == pytest.approx([ratio**k for k in range(1, 5)], rel=1e-9)
+
+
 class TestReportJson:
     def test_round_trip_real(self):
         report = mu_bounds(HADAMARD, max_depth=2)

@@ -92,6 +92,19 @@ class TestMu:
         code, _ = run(capsys, ["mu", hadamard_file, "--depth", "40"])
         assert code == EXIT_COMPUTE_ERROR
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch, hadamard_file):
+        import absnorm.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.7 GiB for an array")
+
+        monkeypatch.setattr(cli, "mu_bounds", exhausted)
+        code = main(["mu", hadamard_file])
+        captured = capsys.readouterr()
+        assert code == EXIT_COMPUTE_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+
     def test_complex_matrix_flags_heuristic(self, capsys, tmp_path):
         path = tmp_path / "cx.json"
         path.write_text(

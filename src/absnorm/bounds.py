@@ -87,6 +87,10 @@ class BoundsReport:
     grid_q: int | None
     upper_heuristic: bool = False
 
+    def __post_init__(self):
+        if not self.lower <= self.upper:
+            raise ValueError(f"lower bound {self.lower!r} exceeds upper bound {self.upper!r}")
+
 
 @dataclass(frozen=True)
 class GrowthQuery:
@@ -367,7 +371,8 @@ def mu_bounds(
     lower and upper engines run to ``max_depth`` and the upper bound is
     additionally capped at rho(|A|), which dominates mu(A) for every
     matrix.  ``use_shortcut=False`` forces the generic engine (used to
-    cross-validate the shortcut).
+    cross-validate the shortcut).  The reported upper bound is never
+    below the reported lower bound.
     """
     m = as_matrix(a)
     _check_search_args(max_depth, prune_delta)
@@ -409,6 +414,9 @@ def mu_bounds(
     cap = nonneg_spectral_radius(entrywise_abs(s), tol=1e-10).rho + 1e-10
     heuristic = complex_search and m.n > 1 and raw_upper < cap
     lower, upper = lower * 2.0**e, min(raw_upper, cap) * 2.0**e
+    # A word's rho and its 2-norm may round apart by an ulp when they are
+    # equal in exact arithmetic; widen the upper side, never lower it.
+    upper = max(upper, lower)
     exact = (not heuristic) and (upper - lower <= tol)
     return BoundsReport(
         lower=lower,
@@ -433,15 +441,22 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     10x above its start with sustained increase, and ``inconclusive``
     otherwise (always so for m < 2).  Only a growing verdict backed by a
     certified lower bound is conclusive; the sequence itself is reported
-    for inspection.
+    for inspection.  A threshold so far from the matrix scale that c^k
+    leaves the normal float range for some k <= m raises ValueError.
     """
     m = as_matrix(a)
     c = query.level if query.level is not None else spectral_radius(m) + query.eps
     if c <= 0:
         raise ValueError("growth threshold must be positive")
     s, e = _normalized(m)
-    arr, da = _search_setup(s, grid_q, True, query.m)[3:]
     c_s = c * 2.0**-e
+    # c_s^k must stay a normal float (binary exponent within +-1022) for k <= m.
+    if query.m * abs(math.log2(c_s)) >= 1022:
+        raise ValueError(
+            f"growth threshold {c!r} is too far from the matrix scale: c^k leaves "
+            f"the float range for some k <= {query.m}"
+        )
+    arr, da = _search_setup(s, grid_q, True, query.m)[3:]
     g = [float(norms.max()) / c_s**k for k, _, norms in _levels(arr, da, query.m, threads)]
 
     depth = query.m

@@ -5,24 +5,29 @@ For a nonnegative matrix B and any positive vector w,
     min_i (B^T w)_i / w_i  <=  rho(B)  <=  max_i (B^T w)_i / w_i,
 
 and the infimum of the max-side over positive w equals rho(B) exactly,
-reducible B included.  Two engines realize that infimum constructively:
+reducible B included.  Two engines realize that infimum constructively,
+both through the resolvent: for any lambda > rho(B) and positive w the
+vector ``u = (lambda*I - B^T)^{-1} w`` is strictly positive (it is at
+least w / lambda entrywise), while in exact arithmetic a singular solve
+or a nonpositive u certifies lambda <= rho(B).
 
-* power iteration on the uniformly perturbed positive matrix
-  ``(B + delta*ones)^T`` with delta shrinking geometrically, which
-  pinches quickly whenever B has a dominant eigenvalue gap, and
-* resolvent bisection: for any lambda > rho(B) the vector
-  ``u = (lambda*I - B^T)^{-1} 1`` is strictly positive with
-  ``max_i (B^T u)_i / u_i < lambda``, while failure of positivity
-  certifies lambda <= rho(B); bisecting lambda therefore closes a
-  certified interval at a guaranteed rate.
+* Noda's iteration (Numer. Math. 17, 1971): lambda is the current max
+  Collatz-Wielandt ratio, itself >= rho(B), and the normalized u is the
+  next test vector.  It converges quadratically for irreducible B,
+  imprimitive ones with equal-modulus eigenvalues included (Elsner,
+  Linear Algebra Appl. 15, 1976), so a handful of solves pinch the
+  bracket.
+* resolvent bisection with w = ones: bisecting lambda between the two
+  sides closes a certified interval at a guaranteed rate.  It takes over
+  when a Noda step fails or stops shrinking the bracket, which is how
+  reducible and nilpotent B close.
 
-The bisection exists because power iteration alone can stall: for
-defective spectra the perturbed eigenvalue gap closes like sqrt(delta),
-and for imprimitive matrices (equal-modulus eigenvalues, e.g.
-[[0,2],[1,0]]) like delta itself, so no iteration budget pinches the
-bracket as delta shrinks.  Every certificate below is evaluated on the
-unperturbed B, so solver inaccuracy can only slow convergence, never
-corrupt a bound.
+Every Collatz-Wielandt ratio below is evaluated on B itself, so solver
+inaccuracy can only slow those sides.  A bisection rejection is never
+read off the sign pattern of a pivoted solve, which cancellation breaks
+when B is strongly non-normal and rho(B) is near zero: it is decided by
+elimination without pivoting on the Z-matrix ``lambda*I - B^T``, whose
+only cancellations are in the pivots whose signs are the answer.
 """
 
 from dataclasses import dataclass
@@ -34,8 +39,8 @@ from .matrices import WeightedLpNorm, as_matrix
 
 __all__ = ["PerronResult", "nonneg_spectral_radius", "optimal_weighted_l1"]
 
-_POWER_PASSES = 12
-_POWER_ITERATIONS = 120
+_NODA_CAP = 32
+_NODA_SPAN = 2.0**-500
 _BISECTION_CAP = 200
 
 
@@ -81,20 +86,53 @@ def _cw_ratios(bt, w):
     return float(r.min()), float(r.max())
 
 
-def _resolvent_vector(bt, lam):
-    """Positive solution of ``(lam*I - B^T) u = 1``, or None.
+def _resolvent_vector(bt, lam, rhs):
+    """Positive solution of ``(lam*I - B^T) u = rhs`` for positive rhs, or None.
 
-    Strict positivity of u certifies lam > rho(B) (M-matrix inverse
-    nonnegativity); conversely any nonpositive entry or a singular solve
-    certifies lam <= rho(B).
+    Strict positivity of u makes it a Collatz-Wielandt test vector.  In
+    exact arithmetic a nonpositive entry or a singular solve would
+    certify lam <= rho(B), but the pivoted solve can produce either by
+    rounding for lam > rho(B) as well, so None only means the step failed.
     """
-    n = bt.shape[0]
     try:
-        u = np.linalg.solve(lam * np.eye(n) - bt, np.ones(n))
+        u = np.linalg.solve(lam * np.eye(bt.shape[0]) - bt, rhs)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(u)) or np.any(u <= 0):
         return None
+    return u
+
+
+def _m_matrix_solve(a, rhs):
+    """Solve the Z-matrix system ``a u = rhs`` by elimination without pivoting.
+
+    With nonpositive off-diagonal entries the elimination adds only
+    nonpositive terms off the diagonal, and both substitutions add terms
+    of one sign, so the one place where rounding can cancel is the
+    diagonal update, whose sign is the answer; zero entries of B stay
+    zero, so a strictly triangular B has every pivot exactly lam.  All
+    pivots are positive exactly when ``a`` is a nonsingular M-matrix, for
+    ``a = lam*I - B^T`` that is lam > rho(B), and u is then positive for
+    positive rhs.  Returns None at the first
+    finite nonpositive pivot (which certifies lam <= rho(B)), else u; a u
+    that is not finite and positive (overflow) certifies neither side.
+    """
+    a = a.copy()
+    n = a.shape[0]
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            pivot = a[k, k]
+            if not np.isfinite(pivot):
+                return np.full(n, np.nan)
+            if pivot <= 0:
+                return None
+            a[k + 1 :, k] /= pivot
+            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+        u = np.array(rhs, dtype=np.float64)
+        for k in range(1, n):
+            u[k] -= a[k, :k] @ u[:k]
+        for k in range(n - 1, -1, -1):
+            u[k] = (u[k] - a[k, k + 1 :] @ u[k + 1 :]) / a[k, k]
     return u
 
 
@@ -124,10 +162,14 @@ class _Bracket:
 def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
     """Spectral radius of a nonnegative matrix with certified bounds.
 
-    Runs the perturbed power iteration first (delta starting at one
-    percent of the largest entry, halving between passes) and, if the
-    certified interval has not pinched to ``tol``, closes it by
-    resolvent bisection.
+    Runs Noda's iteration from the uniform vector: each step solves
+    ``(lambda*I - B^T) u = w`` with lambda the certified upper side and
+    takes the normalized u as the next test vector.  Once a step fails
+    (singular or nonpositive solve), stops shrinking the bracket, or the
+    step cap is reached, resolvent bisection closes the interval from the
+    current bracket; a midpoint whose pivoted solve is not positive is
+    decided by the sign-safe :func:`_m_matrix_solve`.  ``iterations``
+    counts both kinds of step.
 
     Raises
     ------
@@ -140,31 +182,31 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
     bmat = _require_nonnegative(b)
     n = bmat.shape[0]
     bt = bmat.T
-    top = float(bmat.max())
-    if top == 0.0:
+    if float(bmat.max()) == 0.0:
         return PerronResult(0.0, np.ones(n) / n, 0, (0.0, 0.0))
 
     w = np.ones(n) / n
     bracket = _Bracket(bt, w)
     iterations = 0
-    delta = top * 1e-2
-    for _ in range(_POWER_PASSES):
-        mt = bt + delta
-        for _ in range(_POWER_ITERATIONS):
-            iterations += 1
-            y = mt @ w
-            w = y / y.sum()
-            bracket.observe(w)
-            plo, phi = _cw_ratios(mt, w)
-            if phi - plo <= tol / 4:
-                break
-        if bracket.width <= tol:
-            return PerronResult(
-                bracket.upper, bracket.vector, iterations, (bracket.lower, bracket.upper)
-            )
-        delta *= 0.5
+    while iterations < _NODA_CAP and bracket.width > tol:
+        iterations += 1
+        u = _resolvent_vector(bt, bracket.upper, w)
+        if u is None:
+            break
+        # An iterate spanning more than _NODA_SPAN (reducible B, whose
+        # non-dominant classes fade) is left to the bisection before its
+        # small entries underflow.  Scaling by the maximum keeps the sum finite.
+        if float(u.min()) < float(u.max()) * _NODA_SPAN:
+            break
+        w = u / u.max()
+        w /= w.sum()
+        width = bracket.width
+        bracket.observe(w)
+        if bracket.width >= width:
+            break
 
     lo = bracket.lower
+    ones = np.ones(n)
     for _ in range(_BISECTION_CAP):
         if bracket.upper - lo <= tol:
             return PerronResult(
@@ -175,10 +217,12 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
             )
         iterations += 1
         mid = 0.5 * (lo + bracket.upper)
-        u = _resolvent_vector(bt, mid)
+        u = _m_matrix_solve(mid * np.eye(n) - bt, ones)
         if u is None:
             lo = mid
             continue
+        if not (np.all(np.isfinite(u)) and np.all(u > 0)):
+            break
         prev_upper = bracket.upper
         bracket.observe(u)
         if bracket.upper >= prev_upper:

@@ -379,6 +379,11 @@ class TestGrowthCondition:
         )
         assert report.sequence == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("level", [1e300, 1e-300])
+    def test_threshold_out_of_float_range(self, level):
+        with pytest.raises(ValueError, match="growth threshold"):
+            check_growth_condition(np.eye(2), GrowthQuery(eps=None, m=4, level=level))
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             GrowthQuery(eps=None, m=3)
@@ -567,6 +572,24 @@ class TestScale:
         ratio = ROOT2 / (ROOT2 + 0.1)
         assert report.verdict == "bounded"
         assert report.sequence == pytest.approx([ratio**k for k in range(1, 5)], rel=1e-9)
+
+
+class TestOrdering:
+    @pytest.mark.parametrize("s", [3.0, 7.0, 1e-3])
+    def test_upper_never_below_lower(self, s):
+        # rho and the 2-norm of the winning word agree in exact arithmetic
+        # and round an ulp apart; the reported upper is widened to lower.
+        report = mu_bounds(s * HADAMARD, max_depth=3)
+        assert report.lower <= report.upper
+        assert report.exact
+        assert report.upper == pytest.approx(s * ROOT2, rel=1e-15)
+
+    def test_report_rejects_crossed_bounds(self):
+        report = mu_bounds(HADAMARD, max_depth=2)
+        data = bounds_report_to_json(report)
+        data["lower"] = data["upper"] * 2
+        with pytest.raises(ValueError):
+            bounds_report_from_json(data)
 
 
 class TestReportJson:

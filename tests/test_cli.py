@@ -237,6 +237,17 @@ class TestGrowth:
         code, _ = run(capsys, ["growth", sharp_file])
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("level", ["1e300", "1e-300"])
+    def test_threshold_out_of_float_range_exits_2(self, capsys, tmp_path, level):
+        # c^k over- or underflows long before depth 4 at this distance from
+        # the matrix scale; the run ends in a typed error, not a traceback.
+        path = tmp_path / "eye.txt"
+        path.write_text("1 0\n0 1\n")
+        code = main(["growth", str(path), "--level", level, "--depth", "4"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert err.startswith("error: growth threshold")
+
 
 class TestDemo:
     def test_all_fixtures_pass(self, capsys):

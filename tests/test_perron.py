@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,108 @@ class TestCollatzWielandtValidity:
             lo, hi = result.bracket
             assert hi - lo <= 1e-9
             assert lo <= spectral_radius(b) + 1e-10 <= hi + 2e-9
+
+
+def block_cyclic(rng, n, k):
+    """Nonnegative matrix of period k: positive blocks only at (i, i+1 mod k)."""
+    size = n // k
+    c = np.zeros((n, n))
+    for blk in range(k):
+        nxt = (blk + 1) % k
+        c[blk * size:(blk + 1) * size, nxt * size:(nxt + 1) * size] = rng.random((size, size))
+    return c
+
+
+def random_nonneg(rng, kind, n):
+    if kind == "dense":
+        b = rng.random((n, n))
+    elif kind == "sparse":
+        b = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    elif kind == "block_triangular":
+        # Reducible: block upper triangular split at k, the leading
+        # diagonal block sometimes zero as well.
+        b = rng.random((n, n))
+        k = int(rng.integers(0, n))
+        b[k:, :k] = 0.0
+        if rng.random() < 0.25:
+            b[:k, :k] = 0.0
+    elif kind == "triangular":
+        # Reducible with rho on the diagonal; strictly triangular (rho = 0,
+        # nilpotent) one time in five.
+        b = np.triu(rng.random((n, n)), int(rng.random() < 0.2))
+    elif kind == "integer":
+        b = rng.integers(0, 4, (n, n)).astype(float)
+    else:  # permutation-weighted
+        b = np.zeros((n, n))
+        b[np.arange(n), rng.permutation(n)] = rng.random(n) + 0.1
+    return b * 10.0 ** rng.uniform(-3, 3)
+
+
+def contains(bracket, rho, rel):
+    lo, hi = bracket
+    return lo <= rho * (1 + rel) and hi >= rho * (1 - rel)
+
+
+class TestNodaIteration:
+    def test_imprimitive_closes_in_few_steps(self):
+        b = block_cyclic(np.random.default_rng(5), 200, 4)
+        r = nonneg_spectral_radius(b, tol=1e-10)
+        assert r.iterations <= 10
+        assert r.bracket[1] - r.bracket[0] <= 1e-10
+        assert contains(r.bracket, spectral_radius(b), 1e-12)
+
+    def test_large_scale_imprimitive(self):
+        r = nonneg_spectral_radius(1e12 * np.array([[0.0, 2.0], [1.0, 0.0]]))
+        assert r.rho == pytest.approx(np.sqrt(2.0) * 1e12, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            [[1, 1, 1], [1, 1, 1], [0, 0, 2.5]],
+            np.diag([3.0, 1.0]).tolist(),
+            [[0, 1, 1], [0, 0, 1], [0, 0, 0]],
+        ],
+        ids=["block_triangular", "diagonal", "nilpotent"],
+    )
+    def test_reducible_close_through_bisection(self, b):
+        r = nonneg_spectral_radius(b, tol=1e-9)
+        assert r.bracket[1] - r.bracket[0] <= 1e-9
+        assert contains(r.bracket, spectral_radius(b), 1e-12)
+
+    def test_differential_against_eigensolver(self):
+        rng = np.random.default_rng(6)
+        kinds = ("dense", "sparse", "block_triangular", "triangular", "integer", "permutation")
+        for case in range(360):
+            n = int(rng.integers(1, 13))
+            b = random_nonneg(rng, kinds[case % len(kinds)], n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with np.errstate(all="raise"):
+                    r = nonneg_spectral_radius(b)
+            assert contains(r.bracket, spectral_radius(b), 1e-9), (case, b)
+
+
+class TestSignSafeBisection:
+    def test_strictly_triangular_has_no_false_lower_bound(self):
+        # rho(B) = 0, and B^T is so non-normal at these scales that a
+        # pivoted solve of (mid I - B^T) u = 1 turns an entry negative
+        # for some mid > 0; that must not count as a rejection.
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            b = np.triu(rng.random((5, 5)), 1)
+            b *= 9.2e-3 / b.max()
+            r = nonneg_spectral_radius(b, tol=1e-9)
+            assert r.bracket[0] == 0.0 and r.bracket[1] <= 1e-9, seed
+
+    def test_triangular_closes_at_default_tol(self):
+        # 11x11, rho on the diagonal: the pivoted solve's positive vectors
+        # stall the upper side about 1e-10 above rho.
+        rng = np.random.default_rng(22)
+        n = int(rng.integers(6, 13))
+        b = np.triu(rng.random((n, n))) * 10.0 ** rng.uniform(-3, 3)
+        r = nonneg_spectral_radius(b)
+        assert r.bracket[1] - r.bracket[0] <= 1e-10
+        assert contains(r.bracket, spectral_radius(b), 1e-12)
 
 
 class TestOptimalWeightedL1:

@@ -35,8 +35,6 @@ z = np.array([[1.0, 1.0j], [1.0, -1.0]])
 for q in (2, 4, 8, 16):
     value, _ = mu_lower_bound(z, max_depth=3, grid_q=q)
     print(f"grid q = {q:>2}: certified lower bound on mu = {value:.12f}")
-polished, _ = mu_lower_bound(z, max_depth=3, grid_q=8, polish=True)
-print(f"with phase polish (q = 8):          {polished:.12f}")
 print()
 
 print("=== real vs complex induced norms (sampled) ===")

@@ -26,8 +26,9 @@ can raise it).  If pruning empties the mask, alpha + prune_delta itself is
 a certified upper bound; otherwise max(alpha + prune_delta, best alive
 norm^(1/depth)) is.  prune_delta = 0 prunes nothing.
 
-All searches run on 2^-e A with 2^e just above max|a_ij| and scale back
-exactly, so products at scales like 1e-200 or 1e100 stay in range.
+All searches, and the shortcut's rho(|A|), run on 2^-e A with 2^e just
+above max|a_ij| and scale back exactly, so products at scales like 1e-200
+or 1e100 stay in range and the Perron tolerance acts relative to the scale.
 
 Over the reals the diagonal group is enumerated exactly, so both bounds
 are certified.  Over the complexes the group is replaced by the grid of
@@ -136,7 +137,7 @@ def _search_setup(m, grid_q, quotient, depth=0):
     exponents, phases = _alphabet(m.n, q, quotient)
     if len(phases) ** depth > _NODE_BUDGET:
         raise CapacityError(
-            f"diagonal-word search of {len(phases)}^{depth} nodes exceeds "
+            f"diagonal-word tree of {len(phases)}^{depth} nodes exceeds "
             f"the {_NODE_BUDGET} node budget"
         )
     arr = m.arr.astype(np.complex128 if complex_search else np.float64)
@@ -278,16 +279,13 @@ def mu_lower_bound(
     grid_q: int = 2,
     threads: int = 1,
     quotient: bool = True,
-    polish: bool = False,
 ):
     """Best certified lower bound from spectral radii of diagonal-word products.
 
     Exhaustively maximizes ``rho(A D_1 ... A D_k)^(1/k)`` over all words
     of length k <= max_depth (depth 1 is exactly ``max_D rho(A D)``).
     Ties within 1e-12 relative resolve to the lexicographically earliest
-    word at the shallowest depth.  With ``polish=True`` (complex grids
-    only) a local coordinate ascent over the letter phases refines the
-    winning word off-grid.
+    word at the shallowest depth.
 
     Returns
     -------
@@ -298,41 +296,7 @@ def mu_lower_bound(
     _check_search_args(max_depth)
     s, e = _normalized(m)
     value, word, _, _ = _walk(s, max_depth, grid_q, 0.0, threads, quotient)
-    if polish and (m.field == COMPLEX or grid_q > 2) and m.n > 1:
-        value, word = _polish_word(s.arr.astype(np.complex128), word, value, grid_q)
     return value * 2.0**e, word
-
-
-def _polish_word(arr, word, best, grid_q):
-    """Deterministic coordinate ascent on the letter phases of a word."""
-    n = arr.shape[0]
-    k = word.k
-    cur = [d.phases.astype(np.complex128) for d in word.letters]
-
-    def value(phase_list):
-        p = np.eye(n, dtype=np.complex128)
-        for ph in phase_list:
-            p = (p @ arr) * ph[None, :]
-        return float(np.abs(np.linalg.eigvals(p)).max() ** (1.0 / k))
-
-    step = math.pi / grid_q
-    improved_word = False
-    for _ in range(3):
-        for li in range(k):
-            for j in range(1, n):
-                theta = math.atan2(cur[li][j].imag, cur[li][j].real)
-                for t in (theta - step, theta - step / 3, theta + step / 3, theta + step):
-                    trial = cur[li].copy()
-                    trial[j] = complex(math.cos(t), math.sin(t))
-                    cand = cur[:li] + [trial] + cur[li + 1 :]
-                    v = value(cand)
-                    if _improves(v, best):
-                        best, cur = v, cand
-                        improved_word = True
-        step /= 3.0
-    if improved_word:
-        word = DiagonalWord(tuple(UnimodularDiagonal(p) for p in cur)).canonical()
-    return best, word
 
 
 def mu_upper_bound(
@@ -380,6 +344,7 @@ def mu_bounds(
         raise ValueError("tol must be positive")
     complex_search = m.field == COMPLEX or grid_q > 2
     report_q = grid_q if complex_search else None
+    s, e = _normalized(m)
 
     if use_shortcut:
         shortcut = None
@@ -393,7 +358,7 @@ def mu_bounds(
                 combined = np.conj(found.left.phases * found.right.phases)
                 witness_letter = UnimodularDiagonal(combined)
         if shortcut is not None:
-            rho = nonneg_spectral_radius(entrywise_abs(m), tol=min(tol, 1e-10)).rho
+            rho = nonneg_spectral_radius(entrywise_abs(s), tol=min(tol, 1e-10)).rho * 2.0**e
             word = DiagonalWord((witness_letter,)).canonical()
             return BoundsReport(
                 lower=rho,
@@ -407,7 +372,6 @@ def mu_bounds(
                 upper_heuristic=False,
             )
 
-    s, e = _normalized(m)
     lower, witness, raw_upper, nodes = _walk(
         s, max_depth, grid_q, prune_delta * 2.0**-e, threads, True
     )

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .matrices import (
 from .perron import nonneg_spectral_radius, optimal_weighted_l1
 from .signequiv import EquivalenceWitness, sign_equivalent_to_abs
 
-__all__ = ["RunConfig", "main", "cmd_mu", "cmd_sign_equiv", "cmd_growth", "cmd_demo"]
+__all__ = ["main", "cmd_mu", "cmd_sign_equiv", "cmd_growth", "cmd_demo"]
 
 EXIT_OK = 0
 EXIT_FIXTURE_FAILURE = 1
@@ -45,23 +44,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_COMPUTE_ERROR = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    path: str | None = None
-    depth: int = 6
-    eps: float | None = None
-    level: float | None = None
-    grid_q: int = 2
-    prune_delta: float = 1e-3
-    tol: float = 1e-9
-    trials: int = 1000
-    seed: int = 0
-    threads: int = 0
-    fmt: str = "text"
-
-    def resolved_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+def _threads(args) -> int:
+    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
 
 
 def _read_input(path):
@@ -88,24 +72,24 @@ def load_matrix(path: str) -> Matrix:
     return Matrix("real", np.array(rows))
 
 
-def _emit(cfg, lines, payload):
-    if cfg.fmt == "json":
+def _emit(args, lines, payload):
+    if args.fmt == "json":
         print(json.dumps(payload))
     else:
-        print(f"# absnorm {cfg.command}  seed={cfg.seed}")
+        print(f"# absnorm {args.command}  seed={args.seed}")
         for line in lines:
             print(line)
 
 
-def cmd_mu(cfg: RunConfig) -> int:
-    m = load_matrix(cfg.path)
+def cmd_mu(args: argparse.Namespace) -> int:
+    m = load_matrix(args.input)
     report = mu_bounds(
         m,
-        max_depth=cfg.depth,
-        grid_q=cfg.grid_q,
-        prune_delta=cfg.prune_delta,
-        tol=cfg.tol,
-        threads=cfg.resolved_threads(),
+        max_depth=args.depth,
+        grid_q=args.grid_q,
+        prune_delta=args.prune_delta,
+        tol=args.tol,
+        threads=_threads(args),
     )
     payload = bounds_report_to_json(report)
     lines = [
@@ -119,12 +103,12 @@ def cmd_mu(cfg: RunConfig) -> int:
         f"grid_q          = {report.grid_q}",
         f"upper_heuristic = {report.upper_heuristic}",
     ]
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return EXIT_OK
 
 
-def cmd_sign_equiv(cfg: RunConfig) -> int:
-    m = load_matrix(cfg.path)
+def cmd_sign_equiv(args: argparse.Namespace) -> int:
+    m = load_matrix(args.input)
     result = sign_equivalent_to_abs(m)
     if isinstance(result, EquivalenceWitness):
         payload = {
@@ -150,16 +134,14 @@ def cmd_sign_equiv(cfg: RunConfig) -> int:
             f"cycle         = {json.dumps(payload['cycle'])}",
             f"phase_product = {json.dumps(payload['phase_product'])}",
         ]
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return EXIT_OK
 
 
-def cmd_growth(cfg: RunConfig) -> int:
-    m = load_matrix(cfg.path)
-    query = GrowthQuery(eps=cfg.eps, m=cfg.depth, level=cfg.level)
-    report = check_growth_condition(
-        m, query, grid_q=cfg.grid_q, threads=cfg.resolved_threads()
-    )
+def cmd_growth(args: argparse.Namespace) -> int:
+    m = load_matrix(args.input)
+    query = GrowthQuery(eps=args.eps, m=args.depth, level=args.level)
+    report = check_growth_condition(m, query, grid_q=args.grid_q, threads=_threads(args))
     payload = {
         "verdict": report.verdict,
         "threshold": report.threshold,
@@ -171,13 +153,13 @@ def cmd_growth(cfg: RunConfig) -> int:
         f"threshold = {report.threshold!r}",
         f"sequence  = {json.dumps(payload['sequence'])}",
     ]
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return EXIT_OK
 
 
-def _demo_fixtures(cfg: RunConfig):
+def _demo_fixtures(args):
     """The built-in example suite; each entry returns (passed, detail)."""
-    threads = cfg.resolved_threads()
+    threads = _threads(args)
     sharp = Matrix("real", np.array([[1.0, 1.0], [-1.0, -1.0]]))
     hadamard = Matrix("real", np.array([[1.0, 1.0], [1.0, -1.0]]))
 
@@ -213,7 +195,7 @@ def _demo_fixtures(cfg: RunConfig):
         return ok, f"mu pinched to {report.upper:.12g} < rho(|A|) = 2"
 
     def nonneg_equalities():
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(10):
             n = int(rng.integers(2, 6))
@@ -229,19 +211,19 @@ def _demo_fixtures(cfg: RunConfig):
         return True, f"10 random nonnegative matrices, worst |mu - rho| = {worst:.3g}"
 
     def extremal_norm():
-        trials = min(cfg.trials, 1000)
+        trials = min(args.trials, 1000)
         norm = build_norm(sharp, c=2.1, m=6)
-        axioms = verify_norm_axioms(norm, trials=trials, seed=cfg.seed)
-        contraction = contraction_check(norm, trials=min(trials, 200), seed=cfg.seed)
+        axioms = verify_norm_axioms(norm, trials=trials, seed=args.seed)
+        contraction = contraction_check(norm, trials=min(trials, 200), seed=args.seed)
         ok = axioms.passed and contraction.passed and contraction.max_empirical_ratio <= 2.1
         return ok, f"axioms ok, max induced ratio {contraction.max_empirical_ratio:.6g} <= 2.1"
 
     def growth_verdicts():
         growing = check_growth_condition(
-            sharp, GrowthQuery(eps=None, m=cfg.depth, level=0.5), threads=threads
+            sharp, GrowthQuery(eps=None, m=args.depth, level=0.5), threads=threads
         )
         bounded = check_growth_condition(
-            sharp, GrowthQuery(eps=None, m=cfg.depth, level=2.5), threads=threads
+            sharp, GrowthQuery(eps=None, m=args.depth, level=2.5), threads=threads
         )
         seq = growing.sequence
         ratios_ok = all(abs(seq[i + 1] / seq[i] - 4) <= 1e-6 for i in range(len(seq) - 1))
@@ -258,19 +240,46 @@ def _demo_fixtures(cfg: RunConfig):
     ]
 
 
-def cmd_demo(cfg: RunConfig) -> int:
+def cmd_demo(args: argparse.Namespace) -> int:
     results = []
-    for name, fixture in _demo_fixtures(cfg):
+    for name, fixture in _demo_fixtures(args):
         passed, detail = fixture()
         results.append({"name": name, "passed": passed, "detail": detail})
     all_passed = all(r["passed"] for r in results)
-    payload = {"seed": cfg.seed, "fixtures": results, "passed": all_passed}
+    payload = {"seed": args.seed, "fixtures": results, "passed": all_passed}
     lines = [
         f"[{'PASS' if r['passed'] else 'FAIL'}] {r['name']}: {r['detail']}" for r in results
     ]
     lines.append(f"overall = {'PASS' if all_passed else 'FAIL'}")
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return EXIT_OK if all_passed else EXIT_FIXTURE_FAILURE
+
+
+# Each flag once; every subcommand takes only the flags its command reads.
+_FLAGS = {
+    "--depth": dict(type=int, default=6, help="maximum word depth (default 6)"),
+    "--grid-q": dict(type=int, default=2,
+                     help="phase grid order; >2 switches to complex-grid semantics (default 2)"),
+    "--prune-delta": dict(type=float, default=1e-3,
+                          help="branch-and-bound pruning slack; 0 disables pruning (default 1e-3)"),
+    "--tol": dict(type=float, default=1e-9, help="exactness tolerance (default 1e-9)"),
+    "--trials": dict(type=int, default=1000, help="random trials for audits (default 1000)"),
+    "--threads": dict(type=int, default=0, help="worker threads; 0 means all cores"),
+    "--eps": dict(type=float, default=None, help="margin above rho(A) defining the threshold"),
+    "--level": dict(type=float, default=None, help="explicit threshold overriding rho(A)+eps"),
+    "--seed": dict(type=int, default=0, help="seed for all randomness (default 0)"),
+    "--format": dict(choices=("text", "json"), default="text", dest="fmt",
+                     help="output format (default text)"),
+}
+
+_SUBCOMMANDS = (
+    ("mu", "certified two-sided bounds on mu(A)", True,
+     ("--depth", "--grid-q", "--prune-delta", "--tol", "--threads")),
+    ("sign-equiv", "decide sign equivalence of A to |A|", True, ()),
+    ("growth", "normalized product-growth sequence and verdict", True,
+     ("--depth", "--grid-q", "--threads", "--eps", "--level")),
+    ("demo", "run the built-in example suite", False, ("--depth", "--trials", "--threads")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,56 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified bounds on the minimal induced absolute norm of a matrix.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input):
+    for name, help_text, needs_input, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("input", help="matrix file (JSON schema or whitespace grid), or - for stdin")
-        p.add_argument("--depth", type=int, default=6, help="maximum word depth (default 6)")
-        p.add_argument("--grid-q", type=int, default=2, dest="grid_q",
-                       help="phase grid order; >2 switches to complex-grid semantics (default 2)")
-        p.add_argument("--prune-delta", type=float, default=1e-3, dest="prune_delta",
-                       help="branch-and-bound pruning slack; 0 disables pruning (default 1e-3)")
-        p.add_argument("--tol", type=float, default=1e-9, help="exactness tolerance (default 1e-9)")
-        p.add_argument("--trials", type=int, default=1000, help="random trials for audits (default 1000)")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
-        p.add_argument("--threads", type=int, default=0, help="worker threads; 0 means all cores")
-        p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt",
-                       help="output format (default text)")
-
-    p_mu = sub.add_parser("mu", help="certified two-sided bounds on mu(A)")
-    common(p_mu, needs_input=True)
-
-    p_se = sub.add_parser("sign-equiv", help="decide sign equivalence of A to |A|")
-    common(p_se, needs_input=True)
-
-    p_gr = sub.add_parser("growth", help="normalized product-growth sequence and verdict")
-    common(p_gr, needs_input=True)
-    p_gr.add_argument("--eps", type=float, default=None,
-                      help="margin above rho(A) defining the threshold")
-    p_gr.add_argument("--level", type=float, default=None,
-                      help="explicit threshold overriding rho(A)+eps")
-
-    p_demo = sub.add_parser("demo", help="run the built-in example suite")
-    common(p_demo, needs_input=False)
-
+        for flag in flags + ("--seed", "--format"):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        path=getattr(args, "input", None),
-        depth=args.depth,
-        eps=getattr(args, "eps", None),
-        level=getattr(args, "level", None),
-        grid_q=args.grid_q,
-        prune_delta=args.prune_delta,
-        tol=args.tol,
-        trials=args.trials,
-        seed=args.seed,
-        threads=args.threads,
-        fmt=args.fmt,
-    )
 
 
 _COMMANDS = {
@@ -342,9 +308,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (NonConvergenceError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE_ERROR

@@ -107,10 +107,13 @@ class UnimodularDiagonal:
         return hash(np.asarray(self.phases, dtype=np.complex128).tobytes())
 
 
-def identity_diagonal(n: int, real: bool = True) -> UnimodularDiagonal:
-    if real:
-        return UnimodularDiagonal(np.ones(n), q=2, indices=(0,) * n)
-    return UnimodularDiagonal(np.ones(n, dtype=np.complex128), q=2, indices=(0,) * n)
+def _sign_letter(signs) -> UnimodularDiagonal:
+    """The sign diagonal of a +-1 vector, with its q=2 grid indices."""
+    return UnimodularDiagonal(signs, q=2, indices=tuple(0 if v == 1 else 1 for v in signs))
+
+
+def identity_diagonal(n: int) -> UnimodularDiagonal:
+    return _sign_letter(np.ones(n))
 
 
 def _alphabet(n: int, q: int | None, quotient: bool):
@@ -258,6 +261,5 @@ def word_from_json(data, grid_q: int | None = None) -> DiagonalWord:
             roots = np.array([_root_of_unity(k, grid_q) for k in entry])
             letters.append(UnimodularDiagonal(roots, q=grid_q, indices=tuple(entry)))
         else:
-            phases = np.array([float(v) for v in entry])
-            letters.append(UnimodularDiagonal(phases, q=2, indices=tuple(0 if v == 1 else 1 for v in entry)))
+            letters.append(_sign_letter(np.array([float(v) for v in entry])))
     return DiagonalWord(tuple(letters))

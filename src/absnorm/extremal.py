@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _extend, _search_setup, mu_bounds
-from .errors import CapacityError, DimensionError
+from .errors import DimensionError
 from .matrices import (
     COMPLEX,
     REAL,
@@ -46,8 +46,6 @@ __all__ = [
     "norm_from_json",
 ]
 
-_VECTOR_BUDGET = 10**8
-
 
 @dataclass(frozen=True)
 class TruncatedExtremalNorm:
@@ -56,15 +54,13 @@ class TruncatedExtremalNorm:
     ``c_below_certified_upper`` is set when the requested scale does not
     exceed the certified upper bound of mu(A) available at build time; the
     infinite construction requires c > mu(A), so such evaluators cannot be
-    contractions.  ``beam`` caps the level-set width; when active, values
-    are lower bounds only.
+    contractions.
     """
 
     matrix: Matrix
     c: float
     m: int
     grid_q: int
-    beam: int | None = None
     c_below_certified_upper: bool = False
     certified_upper: float = float("nan")
 
@@ -73,28 +69,11 @@ class TruncatedExtremalNorm:
         return self.matrix.n
 
     @property
-    def lower_bound_only(self) -> bool:
-        return self.beam is not None
-
-    @property
     def complex_letters(self) -> bool:
         return self.matrix.field == COMPLEX or self.grid_q > 2
 
 
-def _check_eval_capacity(n_letters, depth, beam):
-    width = 1
-    for _ in range(depth):
-        width *= n_letters
-        if beam is not None:
-            width = min(width, beam * n_letters)
-        if width > _VECTOR_BUDGET:
-            raise CapacityError(
-                f"norm evaluation would expand {n_letters}^{depth} vectors, "
-                f"over the {_VECTOR_BUDGET} budget"
-            )
-
-
-def build_norm(a, c: float, m: int, grid_q: int = 2, beam: int | None = None) -> TruncatedExtremalNorm:
+def build_norm(a, c: float, m: int, grid_q: int = 2) -> TruncatedExtremalNorm:
     """Construct the evaluator, cross-checking c against a certified upper bound.
 
     A cheap bounds run (depth <= 4) supplies the reference; when c fails
@@ -106,10 +85,7 @@ def build_norm(a, c: float, m: int, grid_q: int = 2, beam: int | None = None) ->
         raise ValueError("scale c must be positive")
     if m < 0:
         raise ValueError("truncation depth m must be nonnegative")
-    if beam is not None and beam < 1:
-        raise ValueError("beam width must be at least 1")
-    letters = len(_search_setup(mat, grid_q, True)[1])
-    _check_eval_capacity(letters, m, beam)
+    letters = len(_search_setup(mat, grid_q, True, m)[1])
 
     cross_depth = 1
     while cross_depth < 4 and letters ** (cross_depth + 1) <= 10**6:
@@ -131,7 +107,6 @@ def build_norm(a, c: float, m: int, grid_q: int = 2, beam: int | None = None) ->
         c=float(c),
         m=int(m),
         grid_q=int(grid_q),
-        beam=beam,
         c_below_certified_upper=below,
         certified_upper=float(certified),
     )
@@ -141,8 +116,7 @@ def _eval_levels(norm: TruncatedExtremalNorm, x, depth):
     """Forward level-set evaluation up to ``depth`` words."""
     # Factors D·A^T: a row vector x times one is (A D x)^T.
     transposed = Matrix(norm.matrix.field, norm.matrix.arr.T)
-    factors = _search_setup(transposed, norm.grid_q, True)[-1]
-    _check_eval_capacity(len(factors), depth, norm.beam)
+    factors = _search_setup(transposed, norm.grid_q, True, depth)[-1]
     complex_data = norm.complex_letters or np.iscomplexobj(x)
     dtype = np.complex128 if complex_data else np.float64
     level = np.asarray(x, dtype=dtype)[None, None, :]
@@ -151,11 +125,7 @@ def _eval_levels(norm: TruncatedExtremalNorm, x, depth):
     for _ in range(depth):
         scale /= norm.c
         level = _extend(level, factors)
-        norms = np.linalg.norm(level[:, 0], axis=1)
-        best = max(best, scale * float(norms.max()))
-        if norm.beam is not None and len(level) > norm.beam:
-            order = np.argsort(-norms, kind="stable")[: norm.beam]
-            level = level[order]
+        best = max(best, scale * float(np.linalg.norm(level[:, 0], axis=1).max()))
     return best
 
 
@@ -163,8 +133,7 @@ def eval_norm(norm: TruncatedExtremalNorm, x) -> float:
     """Evaluate the truncated norm at a vector.
 
     The k = 0 term makes the value at least ``||x||_2``; depth m = 0
-    reduces to the Euclidean norm exactly.  With a beam active the value
-    is a lower bound on the full truncation.
+    reduces to the Euclidean norm exactly.
     """
     x = np.asarray(x)
     if x.shape != (norm.n,):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonals import UnimodularDiagonal
+from .diagonals import UnimodularDiagonal, _sign_letter
 from .matrices import REAL, as_matrix
 
 __all__ = [
@@ -158,13 +158,5 @@ def sign_equivalent_to_abs(a, tol: float = 1e-9):
     d = scalar[:n]
     e = scalar[n:]
     if real_case:
-        left = UnimodularDiagonal(
-            d.real, q=2, indices=tuple(0 if v == 1 else 1 for v in d.real)
-        )
-        right = UnimodularDiagonal(
-            e.real, q=2, indices=tuple(0 if v == 1 else 1 for v in e.real)
-        )
-    else:
-        left = UnimodularDiagonal(d)
-        right = UnimodularDiagonal(e)
-    return EquivalenceWitness(left, right)
+        return EquivalenceWitness(_sign_letter(d.real), _sign_letter(e.real))
+    return EquivalenceWitness(UnimodularDiagonal(d), UnimodularDiagonal(e))

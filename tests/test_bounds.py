@@ -262,16 +262,6 @@ class TestMuBounds:
         assert coarse <= fine + 1e-12
         assert fine <= cap + 1e-9
 
-    def test_polish_improves_complex_lower(self):
-        a = np.array([[1.0, 1.0j], [1.0, -1.0]])
-        plain, _ = mu_lower_bound(a, max_depth=2, grid_q=4)
-        polished, word = mu_lower_bound(a, max_depth=2, grid_q=4, polish=True)
-        assert polished >= plain - 1e-12
-        prod = word_product(a, word, terminal=True)
-        assert spectral_radius(prod) ** (1.0 / word.k) == pytest.approx(
-            polished, rel=1e-9
-        )
-
     def test_threads_do_not_change_results(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((3, 3))
@@ -550,10 +540,10 @@ class TestWalk:
             assert (scaled.nodes_visited, scaled.exact) == (base.nodes_visited, base.exact)
 
 
-@pytest.mark.parametrize("s", [1e-200, 1e100])
 class TestScale:
     """mu(sH) = sqrt(2)|s| for the Hadamard-sign matrix H at any scale."""
 
+    @pytest.mark.parametrize("s", [1e-200, 1e100])
     def test_mu_bounds(self, s):
         report = mu_bounds(s * HADAMARD, max_depth=4)
         assert report.lower <= report.upper
@@ -561,17 +551,28 @@ class TestScale:
         assert report.upper == pytest.approx(s * ROOT2, rel=1e-12)
         assert report.exact
 
+    @pytest.mark.parametrize("s", [1e-200, 1e100])
     def test_lower_and_upper(self, s):
         value, word = mu_lower_bound(s * HADAMARD, max_depth=4)
         assert value == pytest.approx(s * ROOT2, rel=1e-12)
         assert word_to_json(word) == [[1, 1]]
         assert mu_upper_bound(s * HADAMARD, max_depth=4) == pytest.approx(s * ROOT2, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [1e-200, 1e100])
     def test_growth(self, s):
         report = check_growth_condition(s * HADAMARD, GrowthQuery(eps=0.1 * s, m=4))
         ratio = ROOT2 / (ROOT2 + 0.1)
         assert report.verdict == "bounded"
         assert report.sequence == pytest.approx([ratio**k for k in range(1, 5)], rel=1e-9)
+
+    @pytest.mark.parametrize("rows", [[[0, 2], [1, 0]], [[0, 2], [-1, 0]]])
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1.0, 1e12, 1e-200, 1e200])
+    def test_shortcut(self, s, rows):
+        # mu = rho(|A|) = sqrt(2) s; the Perron tolerance must not be an
+        # absolute one on the unscaled matrix.
+        report = mu_bounds(s * np.array(rows, dtype=float))
+        assert report.shortcut != "none" and report.exact
+        assert abs(report.lower - ROOT2 * s) <= 1e-9 * ROOT2 * s
 
 
 class TestOrdering:

@@ -270,3 +270,16 @@ class TestDemo:
         code, out = run(capsys, ["demo", "--trials", "50"])
         assert code == EXIT_FIXTURE_FAILURE
         assert "[FAIL] forced-failure" in out
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("sign-equiv", ["--depth", "3"]), ("growth", ["--tol", "1e-9"]), ("demo", ["--grid-q", "4"])],
+    )
+    def test_unread_flag_exits_2(self, capsys, sharp_file, command, flag):
+        argv = [command] + ([] if command == "demo" else [sharp_file]) + flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -63,6 +63,15 @@ class TestBuild:
         with pytest.raises(CapacityError):
             build_norm(a, c=2.0, m=20)
 
+    def test_capacity_boundary(self):
+        # A 3x3 real matrix has L = 4 quotient sign letters: 4^13 <= 10^8 < 4^14.
+        from absnorm import CapacityError
+
+        a = np.eye(3) + np.eye(3, k=1) - np.eye(3, k=-1)
+        assert build_norm(a, c=2.0, m=13).m == 13
+        with pytest.raises(CapacityError):
+            build_norm(a, c=2.0, m=14)
+
 
 class TestEval:
     def test_hand_enumerated_basis_vector(self, sharp_norm):
@@ -158,15 +167,6 @@ class TestEval:
     def test_rejects_complex_vector_on_real_letters(self, sharp_norm):
         with pytest.raises(ValueError):
             eval_norm(sharp_norm, np.array([1j, 0.0]))
-
-    def test_beam_is_lower_bound(self):
-        full = build_norm(SHARP, c=2.1, m=6)
-        beamed = build_norm(SHARP, c=2.1, m=6, beam=2)
-        assert beamed.lower_bound_only and not full.lower_bound_only
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            x = rng.standard_normal(2)
-            assert eval_norm(beamed, x) <= eval_norm(full, x) * (1 + 1e-12)
 
 
 class TestContraction:

@@ -12,8 +12,9 @@ certificates in both directions:
 
 Both families are read off one walk over the tree of interior products
 P = A D_1 ... D_{k-1} A (integer-coded letters, extended level by level by
-the factors D A) that takes each interior's 2-norm once.  The lower side
-applies the terminal letter as a column scaling P D_k and, as
+the factors D A).  A decision on an interior's 2-norm is first tried on the
+bound ||P||_F (1 + 1e-12); the SVD runs only where that cannot settle it.
+The lower side applies the terminal letter as a column scaling P D_k and, as
 rho(P D_k) <= ||P D_k|| = ||P||, eigensolves only the prefixes with
 ||P||^(1/k) within twice the tie slack of the best value so far; the
 exhaustive maximum and its lexicographic tie-break are unchanged.
@@ -152,30 +153,59 @@ def _check_search_args(max_depth, prune_delta=0.0):
 
 
 def _chunked(batch, fn, threads):
-    """Apply ``fn`` to row-chunks of a stacked matrix batch, in order."""
-    blocks = [batch[i : i + _CHUNK] for i in range(0, len(batch), _CHUNK)]
+    """``fn`` applied to row-chunks of a stacked matrix batch, concatenated in order."""
+    blocks = [batch[i : i + _CHUNK] for i in range(0, len(batch), _CHUNK)] or [batch]
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, blocks))
-    return [fn(b) for b in blocks]
+            return np.concatenate(list(pool.map(fn, blocks)))
+    out = [fn(b) for b in blocks]
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _batch_norms(batch, threads=1):
     try:
-        out = _chunked(batch, lambda b: np.linalg.svd(b, compute_uv=False)[..., 0], threads)
+        return _chunked(batch, lambda b: np.linalg.svd(b, compute_uv=False)[..., 0], threads)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"SVD did not converge on a product batch: {exc}") from exc
-    return np.concatenate(out)
+
+
+class _LevelNorms:
+    """A level of interiors with bounds hi = ||P||_F (1 + 1e-12) >= ||P||_2 (P scaled
+    by its largest |entry| first); the SVD runs only where a decision asks, once each."""
+
+    def __init__(self, interior, depth, threads):
+        self.interior, self.depth, self.threads = interior, depth, threads
+        self.hi, self.exact = np.empty(len(interior)), np.full(len(interior), np.nan)
+        for i in range(0, len(interior), 4096):  # keeps the |P| temporary small
+            mag = np.abs(interior[i : i + 4096])
+            top = mag.max(axis=(1, 2))
+            mag /= np.where(top > 0, top, 1.0)[:, None, None]
+            self.hi[i : i + 4096] = top * np.sqrt(np.square(mag, out=mag).sum(axis=(1, 2)))
+        self.hi *= 1 + 1e-12
+
+    def norms(self, idx):
+        todo = idx[np.isnan(self.exact[idx])]
+        self.exact[todo] = _batch_norms(self.interior[todo], self.threads)
+        return self.exact[idx]
+
+    def where(self, bound, among=True):
+        """Mask of the interiors in ``among`` with ||P||^(1/depth) >= bound."""
+        mask = among & (self.hi ** (1.0 / self.depth) >= bound)
+        mask[mask] = self.norms(np.flatnonzero(mask)) ** (1.0 / self.depth) >= bound
+        return mask
+
+    def top(self):
+        """SVD norms of every interior that can hold the level's largest norm."""
+        return self.norms(np.flatnonzero(self.hi >= self.norms(np.argmax(self.hi, keepdims=True))))
 
 
 def _batch_radii(batch, threads=1):
     try:
-        out = _chunked(batch, lambda b: np.abs(np.linalg.eigvals(b)).max(axis=-1), threads)
+        return _chunked(batch, lambda b: np.abs(np.linalg.eigvals(b)).max(axis=-1), threads)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(
             f"eigensolver did not converge on a product batch: {exc}"
         ) from exc
-    return np.concatenate(out)
 
 
 def _extend(batch, factors, threads=1):
@@ -184,7 +214,7 @@ def _extend(batch, factors, threads=1):
     def block(b):
         return np.einsum("mij,ljk->mlik", b, factors).reshape(-1, *b.shape[1:])
 
-    return np.concatenate(_chunked(batch, block, threads))
+    return _chunked(batch, block, threads)
 
 
 def _first_within_tie(values):
@@ -209,20 +239,24 @@ def _improves(candidate, best):
     return candidate > best + _TIE_REL * max(1.0, abs(best))
 
 
+def _exponent(arr):
+    """e with 2^(e-1) <= max|a_i| < 2^e (0 for 0), in +-1021 so 2.0**+-e is normal."""
+    return min(max(int(np.frexp(np.abs(arr).max())[1]), -1021), 1021)
+
+
 def _normalized(m):
-    """``(2^-e A, e)`` with 2^(e-1) <= max|a_ij| < 2^e (e = 0 for A = 0), e clipped
-    to +-1021 so that the scale factors 2.0**+-e are normal floats."""
-    e = int(np.clip(np.frexp(np.abs(m.arr).max())[1], -1021, 1021))
+    """``(2^-e A, e)`` with e = ``_exponent(A)``."""
+    e = _exponent(m.arr)
     return Matrix(m.field, np.ldexp(m.arr.view(np.float64), -e).view(m.arr.dtype)), e
 
 
 def _levels(arr, da, max_depth, threads):
-    """``(depth, interiors, norms)`` of each level of the interior tree."""
+    """``(depth, _LevelNorms)`` of each level of the interior tree."""
     interior = arr[None, :, :]
     for depth in range(1, max_depth + 1):
         if depth > 1:
             interior = _extend(interior, da, threads)
-        yield depth, interior, _batch_norms(interior, threads)
+        yield depth, _LevelNorms(interior, depth, threads)
 
 
 def _walk(m, max_depth, grid_q, prune_delta, threads, quotient):
@@ -233,16 +267,15 @@ def _walk(m, max_depth, grid_q, prune_delta, threads, quotient):
     upper, alpha, pruned_any = np.inf, 0.0, False
     nodes = size  # the depth-1 words that seed alpha
     alive = np.ones(1, dtype=bool)
-    for depth, interior, norms in _levels(arr, da, max_depth, threads):
+    for depth, level in _levels(arr, da, max_depth, threads):
         alive = np.repeat(alive, size) if depth > 1 else alive
-        roots = norms ** (1.0 / depth)
 
         # Lower: rho(P D) <= ||P D|| = ||P||, so only the prefixes whose norm
         # reaches the best value within twice the tie slack are eigensolved.
         nodes += size**depth
-        cand = np.flatnonzero(roots >= best - 2 * _TIE_REL * max(1.0, abs(best)))
+        cand = np.flatnonzero(level.where(best - 2 * _TIE_REL * max(1.0, abs(best))))
         if cand.size:
-            radii = _batch_radii(_terminal(interior[cand], phases), threads)
+            radii = _batch_radii(_terminal(level.interior[cand], phases), threads)
             first, value = _first_within_tie(radii ** (1.0 / depth))
             if _improves(value, best):
                 best, best_depth = value, depth
@@ -255,19 +288,20 @@ def _walk(m, max_depth, grid_q, prune_delta, threads, quotient):
             continue
         nodes += int(alive.sum())
         if not pruned_any:
-            upper = min(upper, float(roots.max()))
+            upper = min(upper, float((level.top() ** (1.0 / depth)).max()))
         if prune_delta > 0 and depth > 1:
-            gate = np.flatnonzero(alive & (roots >= alpha - 2 * _TIE_REL * max(1.0, alpha)))
+            gate = np.flatnonzero(level.where(alpha - 2 * _TIE_REL * max(1.0, alpha), alive))
             if gate.size:
-                top = float(_batch_radii(interior[gate], threads).max())
+                top = float(_batch_radii(level.interior[gate], threads).max())
                 alpha = max(alpha, top ** (1.0 / depth))
-            keep = alive & (roots > alpha + prune_delta)
+            keep = level.where(np.nextafter(alpha + prune_delta, np.inf), alive)  # > alpha + delta
             pruned_any = pruned_any or not np.array_equal(keep, alive)
             alive = keep
             if not alive.any():
                 upper = min(upper, alpha + prune_delta)
     if pruned_any and alive.any():
-        upper = min(upper, max(alpha + prune_delta, float(roots[alive].max())))
+        roots = level.norms(np.flatnonzero(alive)) ** (1.0 / depth)
+        upper = min(upper, max(alpha + prune_delta, float(roots.max())))
     digits = np.unravel_index(best_flat, (size,) * best_depth)
     letters = (UnimodularDiagonal(phases[d], q=q or 2, indices=exponents[d]) for d in digits)
     return float(best), DiagonalWord(tuple(letters)), upper, nodes
@@ -331,7 +365,7 @@ def mu_bounds(
     """Two-sided certified bounds on mu(A) with shortcut detection.
 
     When A is sign equivalent to |A| (nonnegative matrices included),
-    mu(A) = rho(|A|) exactly and no word search is needed; otherwise the
+    mu(A) = rho(|A|) exactly, reported as its Perron bracket; otherwise the
     lower and upper engines run to ``max_depth`` and the upper bound is
     additionally capped at rho(|A|), which dominates mu(A) for every
     matrix.  ``use_shortcut=False`` forces the generic engine (used to
@@ -358,11 +392,11 @@ def mu_bounds(
                 combined = np.conj(found.left.phases * found.right.phases)
                 witness_letter = UnimodularDiagonal(combined)
         if shortcut is not None:
-            rho = nonneg_spectral_radius(entrywise_abs(s), tol=min(tol, 1e-10)).rho * 2.0**e
+            perron = nonneg_spectral_radius(entrywise_abs(s), tol=min(tol, 1e-10))
             word = DiagonalWord((witness_letter,)).canonical()
             return BoundsReport(
-                lower=rho,
-                upper=rho,
+                lower=perron.bracket[0] * 2.0**e,
+                upper=perron.rho * 2.0**e,
                 lower_witness=word,
                 depth_explored=1,
                 nodes_visited=0,
@@ -421,7 +455,7 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
             f"the float range for some k <= {query.m}"
         )
     arr, da = _search_setup(s, grid_q, True, query.m)[3:]
-    g = [float(norms.max()) / c_s**k for k, _, norms in _levels(arr, da, query.m, threads)]
+    g = [float(level.top().max()) / c_s**k for k, level in _levels(arr, da, query.m, threads)]
 
     depth = query.m
     if depth < 2:

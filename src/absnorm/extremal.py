@@ -10,14 +10,18 @@ truncation is itself a genuine absolute norm (a maximum of seminorms
 that includes the Euclidean k = 0 term), so the norm axioms are exact
 properties of the evaluator, not asymptotic ones; only the contraction
 quality depends on c and m.
+
+Evaluation does not extend a product y at level j once c^-j ||y|| G_{m-j}
+(1 + 1e-9) cannot reach the best term, where G_r >= c^-k ||A D ... D A||_2
+for every word of length k <= r: the value is the full tree's, bit for bit.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _extend, _search_setup, mu_bounds
+from .bounds import _CHUNK, _exponent, _extend, _levels, _normalized, _search_setup, mu_bounds
 from .errors import DimensionError
 from .matrices import (
     COMPLEX,
@@ -63,6 +67,24 @@ class TruncatedExtremalNorm:
     grid_q: int
     c_below_certified_upper: bool = False
     certified_upper: float = float("nan")
+    # From 2^-e A and c 2^-e: the factors D·A^T that extend a row (x^T D A^T =
+    # (A D x)^T), and _subtree[r] >= max_{k <= r} c^-k max_words ||A D_1 ... D_{k-1} A||_2.
+    _factors: np.ndarray = field(init=False, repr=False, compare=False)
+    _subtree: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s, e = _normalized(self.matrix)
+        arr, factors = _search_setup(Matrix(s.field, s.arr.T), self.grid_q, True, self.m)[3:]
+        # Exact maxima M_k of the tree of A^T (the transposes of A's interiors)
+        # while a level fits one chunk, then M_{a+b} <= M_a M_b.
+        exact = next(k for k in range(1, self.m + 2) if k > self.m or len(factors) ** k > _CHUNK)
+        top = [float(lv.top().max()) for _, lv in _levels(arr, factors, exact, 1)]
+        for r in range(exact + 1, self.m + 2):
+            top.append(min(top[a - 1] * top[r - a - 1] for a in range(1, r)))
+        c = self.c * 2.0**-e
+        bound = np.maximum.accumulate(np.array(top) * c ** -np.arange(1.0, self.m + 2))
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_subtree", np.concatenate(([0.0], bound)))
 
     @property
     def n(self) -> int:
@@ -113,27 +135,31 @@ def build_norm(a, c: float, m: int, grid_q: int = 2) -> TruncatedExtremalNorm:
 
 
 def _eval_levels(norm: TruncatedExtremalNorm, x, depth):
-    """Forward level-set evaluation up to ``depth`` words."""
-    # Factors D·A^T: a row vector x times one is (A D x)^T.
-    transposed = Matrix(norm.matrix.field, norm.matrix.arr.T)
-    factors = _search_setup(transposed, norm.grid_q, True, depth)[-1]
-    complex_data = norm.complex_letters or np.iscomplexobj(x)
-    dtype = np.complex128 if complex_data else np.float64
-    level = np.asarray(x, dtype=dtype)[None, None, :]
+    """Running maximum of the terms after each level 0..``depth`` (see the module
+    docstring), on 2^-f x scaled back by 2^f so that no square under- or overflows."""
+    x = np.asarray(x, dtype=complex if norm.complex_letters or np.iscomplexobj(x) else float)
+    f = _exponent(x)
+    level = (x * 2.0**-f)[None, None, :]
     best = float(np.linalg.norm(level[0, 0]))
-    scale = 1.0
-    for _ in range(depth):
-        scale /= norm.c
-        level = _extend(level, factors)
-        best = max(best, scale * float(np.linalg.norm(level[:, 0], axis=1).max()))
-    return best
+    norms, running, scale = np.array([best]), [best], 1.0
+    c = norm.c * 2.0**-_exponent(norm.matrix.arr)
+    for j in range(1, depth + 1):
+        level = level[~(scale * norms * (norm._subtree[depth - j + 1] * (1 + 1e-9)) <= best)]
+        if not len(level):
+            break
+        scale /= c
+        level = _extend(level, norm._factors)
+        norms = np.linalg.norm(level[:, 0], axis=1)
+        best = max(best, scale * float(norms.max()))
+        running.append(best)
+    return [v * 2.0**f for v in running + [best] * (depth + 1 - len(running))]
 
 
 def eval_norm(norm: TruncatedExtremalNorm, x) -> float:
     """Evaluate the truncated norm at a vector.
 
     The k = 0 term makes the value at least ``||x||_2``; depth m = 0
-    reduces to the Euclidean norm exactly.
+    reduces to the Euclidean norm exactly.  Pruned subtrees leave it unchanged.
     """
     x = np.asarray(x)
     if x.shape != (norm.n,):
@@ -143,7 +169,7 @@ def eval_norm(norm: TruncatedExtremalNorm, x) -> float:
             "complex vectors need a complex-letter norm; evaluate the "
             "complexification via eval_norm(N, abs(x)) instead"
         )
-    return _eval_levels(norm, x, norm.m)
+    return _eval_levels(norm, x, norm.m)[-1]
 
 
 @dataclass(frozen=True)
@@ -170,6 +196,7 @@ def contraction_check(norm: TruncatedExtremalNorm, trials: int = 100, seed: int 
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _search_setup(norm.matrix, norm.grid_q, True, norm.m + 1)  # capacity of the m+1 walks
     rng = np.random.default_rng(seed)
     arr = norm.matrix.arr
     failures = 0
@@ -177,11 +204,10 @@ def contraction_check(norm: TruncatedExtremalNorm, trials: int = 100, seed: int 
     for _ in range(trials):
         x = _random_vector(rng, norm.n, norm.complex_letters)
         ax = arr @ x
-        lhs = _eval_levels(norm, ax, norm.m)
-        rhs = norm.c * _eval_levels(norm, x, norm.m + 1)
-        if lhs > rhs * (1 + 1e-12):
+        lhs = _eval_levels(norm, ax, norm.m)[-1]
+        denom, deeper = _eval_levels(norm, x, norm.m + 1)[-2:]  # N_m(x), N_{m+1}(x)
+        if lhs > norm.c * deeper * (1 + 1e-12):
             failures += 1
-        denom = _eval_levels(norm, x, norm.m)
         if denom > 0:
             max_ratio = max(max_ratio, lhs / denom)
     return ContractionReport(trials, failures, float(max_ratio), norm.c)
@@ -241,7 +267,7 @@ def verify_norm_axioms(norm: TruncatedExtremalNorm, trials: int = 1000, seed: in
         vx = eval_norm(norm, x)
         vy = eval_norm(norm, y)
 
-        if not vx >= float(np.linalg.norm(x)) * (1 - tol) or vx <= 0:
+        if not (np.isfinite(vx) and vx >= float(np.linalg.norm(x)) * (1 - tol)) or vx <= 0:
             pos += 1
 
         t = rng.standard_normal()

@@ -540,6 +540,89 @@ class TestWalk:
             assert (scaled.nodes_visited, scaled.exact) == (base.nodes_visited, base.exact)
 
 
+def _bracket_batches():
+    rng = np.random.default_rng(40)
+    u, v = rng.standard_normal((200, 4, 1)), rng.standard_normal((200, 1, 4))
+    z = rng.standard_normal((200, 3, 3)) + 1j * rng.standard_normal((200, 3, 3))
+    base = rng.standard_normal((200, 4, 4))
+    return {
+        "random": rng.standard_normal((5000, 4, 4)),  # more than one 4096-row block
+        "rank1": u * v,
+        "zero": np.zeros((5, 3, 3)),
+        "complex": z,
+        "complex_rank1": z[:, :, :1] * z[:, :1, :].conj(),
+        "tiny": base * 1e-170,  # plain squares underflow
+        "huge": base * 1e150,
+        "huger": base * 1e200,  # plain squares overflow
+        "rows": rng.standard_normal((200, 1, 4)),
+    }
+
+
+class TestNormBrackets:
+    """The cheap bound on each interior's 2-norm and the SVD-on-demand level."""
+
+    @pytest.mark.parametrize("kind", sorted(_bracket_batches()))
+    def test_bound_dominates_svd(self, kind):
+        import absnorm.bounds as bounds_mod
+
+        batch = _bracket_batches()[kind]
+        hi = bounds_mod._LevelNorms(batch, 1, 1).hi
+        exact = bounds_mod._batch_norms(batch)
+        assert np.all(np.isfinite(hi))
+        assert np.all(hi >= exact)
+        assert np.all(hi <= exact * 2 * batch.shape[-1])
+
+    @pytest.mark.parametrize("kind", ["integer", "repeated", "rank1"])
+    def test_level_decisions_match_full_svd(self, kind):
+        import absnorm.bounds as bounds_mod
+
+        rng = np.random.default_rng(41)
+        if kind == "integer":
+            batch = rng.integers(-1, 2, size=(500, 3, 3)).astype(float)
+        elif kind == "repeated":
+            batch = np.repeat(rng.standard_normal((20, 3, 3)), 25, axis=0)[rng.permutation(500)]
+        else:
+            batch = _bracket_batches()["rank1"]
+        full = bounds_mod._batch_norms(batch)
+        for depth in (1, 2, 5):
+            level = bounds_mod._LevelNorms(batch, depth, 1)
+            assert level.top().max() == full.max()
+            roots = full ** (1.0 / depth)
+            assert (level.top() ** (1.0 / depth)).max() == roots.max()
+            for t in np.quantile(roots, [0.0, 0.5, 0.9, 0.99, 1.0]):
+                assert np.array_equal(level.where(t), roots >= t)
+                among = rng.random(len(batch)) < 0.5
+                assert np.array_equal(level.where(t, among), among & (roots >= t))
+
+    @staticmethod
+    def _count_svd(monkeypatch):
+        import absnorm.bounds as bounds_mod
+
+        taken = []
+        norms = bounds_mod._batch_norms
+
+        def counting(batch, threads=1):
+            taken.append(len(batch))
+            return norms(batch, threads)
+
+        monkeypatch.setattr(bounds_mod, "_batch_norms", counting)
+        return taken
+
+    def test_walk_svds_are_gated(self, monkeypatch):
+        taken = self._count_svd(monkeypatch)
+        a = np.random.default_rng(32).standard_normal((4, 4))
+        mu_bounds(a, max_depth=6, use_shortcut=False)
+        interiors = sum(8**k for k in range(6))
+        assert 0 < sum(taken) < 0.1 * interiors
+
+    def test_growth_svds_are_gated(self, monkeypatch):
+        taken = self._count_svd(monkeypatch)
+        a = np.random.default_rng(42).standard_normal((4, 4))
+        check_growth_condition(a, GrowthQuery(eps=0.1, m=7))
+        interiors = sum(8**k for k in range(7))
+        assert 0 < sum(taken) < 0.01 * interiors
+
+
 class TestScale:
     """mu(sH) = sqrt(2)|s| for the Hadamard-sign matrix H at any scale."""
 
@@ -573,6 +656,27 @@ class TestScale:
         report = mu_bounds(s * np.array(rows, dtype=float))
         assert report.shortcut != "none" and report.exact
         assert abs(report.lower - ROOT2 * s) <= 1e-9 * ROOT2 * s
+
+
+class TestShortcutLower:
+    """The shortcut reports the Perron bracket: lower side <= rho(|A|) <= upper side."""
+
+    def test_random_nonnegative(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            b = rng.random((n, n)) * 10.0 ** rng.uniform(-2, 3)
+            report = mu_bounds(b)
+            rho = float(np.abs(np.linalg.eigvals(b)).max())
+            assert report.shortcut == "nonnegative" and report.exact
+            assert report.lower <= rho * (1 + 1e-13)
+            assert report.lower <= report.upper
+
+    def test_weighted_cycle(self):
+        b = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1e-9, 0.0, 0.0]])
+        report = mu_bounds(b)
+        assert report.exact
+        assert report.lower <= 1e-3 <= report.upper
 
 
 class TestOrdering:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -14,6 +15,7 @@ from absnorm import (
     enumerate_phase_diagonals,
     enumerate_sign_diagonals,
     eval_norm,
+    mu_bounds,
     norm_from_json,
     norm_to_json,
     nonneg_spectral_radius,
@@ -21,6 +23,21 @@ from absnorm import (
 )
 
 SHARP = np.array([[1.0, 1.0], [-1.0, -1.0]])
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def certified_upper(a, grid_q):
+    report = mu_bounds(a, max_depth=4, grid_q=grid_q)
+    if report.upper_heuristic:
+        return nonneg_spectral_radius(np.abs(a), tol=1e-10).rho + 1e-10
+    return report.upper
+
+
+def unpruned(norm):
+    """The same norm with subtree bounds that never cut a row: the full tree."""
+    copy = dataclasses.replace(norm)
+    object.__setattr__(copy, "_subtree", np.full_like(norm._subtree, np.inf))
+    return copy
 
 
 @pytest.fixture
@@ -71,6 +88,26 @@ class TestBuild:
         assert build_norm(a, c=2.0, m=13).m == 13
         with pytest.raises(CapacityError):
             build_norm(a, c=2.0, m=14)
+
+    def test_subtree_bounds_dominate_products(self):
+        # A 2x2 real matrix has L = 2 letters; its interior tree has 2^17 >
+        # _CHUNK interiors at depth 18, so the last bound comes from M_a M_b.
+        from absnorm.bounds import _CHUNK
+
+        m = 17
+        assert 2**m > _CHUNK >= 2 ** (m - 1)
+        a = np.random.default_rng(34).standard_normal((2, 2))
+        c = 1.05 * certified_upper(a, 2)
+        norm = build_norm(a, c=c, m=m)
+        da = np.array([d.phases[:, None] * a for d in enumerate_sign_diagonals(2, quotient=True)])
+        level, best = a[None], 0.0
+        for k in range(1, m + 2):
+            if k > 1:
+                level = np.matmul(level[:, None], da[None]).reshape(-1, 2, 2)
+            best = max(best, np.linalg.svd(level, compute_uv=False)[:, 0].max() / c**k)
+            assert norm._subtree[k] >= best * (1 - 1e-12)
+        assert norm._subtree[0] == 0.0
+        assert len(norm._subtree) == m + 2
 
 
 class TestEval:
@@ -164,6 +201,53 @@ class TestEval:
                 self.brute_force(a, c, 3, letters, x), rel=1e-13
             )
 
+    @pytest.mark.parametrize("n, m, grid_q", [(3, 6, 2), (3, 3, 4)])
+    def test_pruning_keeps_values(self, monkeypatch, n, m, grid_q):
+        import absnorm.extremal as extremal_mod
+
+        rng = np.random.default_rng(33)
+        a = rng.standard_normal((n, n))
+        if grid_q > 2:
+            a = a + 1j * rng.standard_normal((n, n))
+        c = 1.05 * certified_upper(a, grid_q)
+        norm = build_norm(a, c=c, m=m, grid_q=grid_q)
+        full = unpruned(norm)
+        # A global phase on a letter leaves every term unchanged.
+        letters = (
+            enumerate_phase_diagonals(n, grid_q, quotient=True)
+            if grid_q > 2
+            else enumerate_sign_diagonals(n, quotient=True)
+        )
+        xs = [rng.standard_normal(n) + (1j * rng.standard_normal(n) if grid_q > 2 else 0)
+              for _ in range(4)]
+        for x in xs:
+            value = eval_norm(norm, x)
+            assert value == eval_norm(full, x)
+            assert value == pytest.approx(self.brute_force(a, c, m, letters, x), rel=1e-13)
+
+        rows = []
+        extend = extremal_mod._extend
+
+        def counting(batch, factors, threads=1):
+            rows.append(len(batch) * len(factors))
+            return extend(batch, factors, threads)
+
+        monkeypatch.setattr(extremal_mod, "_extend", counting)
+        for x in xs:
+            eval_norm(norm, x)
+        tree = sum(len(letters) ** k for k in range(1, m + 1))
+        assert sum(rows) < 0.05 * len(xs) * tree
+
+    @pytest.mark.parametrize("s", [1e60, 1e100, 1e-200])
+    def test_every_scale(self, s):
+        x = np.array([0.3, -1.7])
+        base = build_norm(HADAMARD, c=1.5, m=6)
+        norm = build_norm(s * HADAMARD, c=1.5 * s, m=6)
+        assert eval_norm(norm, x) == pytest.approx(eval_norm(base, x), rel=1e-12)
+        ratio = contraction_check(norm, trials=5, seed=0).max_empirical_ratio
+        expected = contraction_check(base, trials=5, seed=0).max_empirical_ratio
+        assert ratio / s == pytest.approx(expected, rel=1e-12)
+
     def test_rejects_complex_vector_on_real_letters(self, sharp_norm):
         with pytest.raises(ValueError):
             eval_norm(sharp_norm, np.array([1j, 0.0]))
@@ -191,6 +275,17 @@ class TestContraction:
         report = contraction_check(norm, trials=50, seed=0)
         assert report.passed
         assert report.max_empirical_ratio == 0.0
+
+    def test_ratio_matches_separate_evaluations(self):
+        # N_m(x) is read off the depth-(m+1) walk; it must equal eval_norm.
+        a = np.random.default_rng(35).standard_normal((3, 3))
+        norm = build_norm(a, c=1.05 * certified_upper(a, 2), m=5)
+        rng = np.random.default_rng(4)
+        ratio = 0.0
+        for _ in range(10):
+            x = rng.standard_normal(3)
+            ratio = max(ratio, eval_norm(norm, a @ x) / eval_norm(norm, x))
+        assert contraction_check(norm, trials=10, seed=4).max_empirical_ratio == ratio
 
     def test_ratio_stabilizes_below_scale_with_depth(self):
         c = 2.1
@@ -220,6 +315,15 @@ class TestAxioms:
         for _ in range(20):
             x = rng.standard_normal(2)
             assert eval_norm(norm, -x) == eval_norm(norm, x)
+
+    def test_non_finite_value_fails_positivity(self, monkeypatch):
+        import absnorm.extremal as extremal_mod
+
+        norm = build_norm(SHARP, c=2.1, m=2)
+        monkeypatch.setattr(extremal_mod, "eval_norm", lambda nm, x: float("inf"))
+        report = verify_norm_axioms(norm, trials=5, seed=0)
+        assert report.positivity_failures == 5
+        assert not report.passed
 
     def test_axioms_even_below_mu(self):
         # Truncations are genuine norms regardless of the scale.

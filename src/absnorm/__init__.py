@@ -13,115 +13,19 @@ with Collatz-Wielandt certificates, the two-sided bounds engine, and an
 evaluator for truncations of the extremal absolute norm.
 """
 
-from .bounds import (
-    BoundsReport,
-    GrowthQuery,
-    GrowthReport,
-    bounds_report_from_json,
-    bounds_report_to_json,
-    check_growth_condition,
-    mu_bounds,
-    mu_lower_bound,
-    mu_upper_bound,
-)
-from .diagonals import (
-    DiagonalWord,
-    UnimodularDiagonal,
-    enumerate_phase_diagonals,
-    enumerate_sign_diagonals,
-    identity_diagonal,
-    word_from_json,
-    word_product,
-    word_to_json,
-)
-from .errors import AbsnormError, CapacityError, DimensionError, NonConvergenceError
-from .extremal import (
-    AxiomReport,
-    ContractionReport,
-    GapReport,
-    TruncatedExtremalNorm,
-    build_norm,
-    complexify_gap_search,
-    contraction_check,
-    eval_norm,
-    norm_from_json,
-    norm_to_json,
-    verify_norm_axioms,
-)
-from .matrices import (
-    COMPLEX,
-    REAL,
-    Matrix,
-    WeightedLpNorm,
-    as_matrix,
-    entrywise_abs,
-    induced_norm,
-    matrix_from_json,
-    matrix_to_json,
-    spectral_norm,
-    spectral_radius,
-    vector_norm,
-)
-from .perron import PerronResult, nonneg_spectral_radius, optimal_weighted_l1
-from .signequiv import (
-    EquivalenceWitness,
-    InconsistencyCertificate,
-    is_nonnegative,
-    sign_equivalent_to_abs,
-)
+from . import bounds, diagonals, errors, extremal, matrices, perron, signequiv
+from .bounds import *
+from .diagonals import *
+from .errors import *
+from .extremal import *
+from .matrices import *
+from .perron import *
+from .signequiv import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbsnormError",
-    "AxiomReport",
-    "BoundsReport",
-    "COMPLEX",
-    "CapacityError",
-    "ContractionReport",
-    "DiagonalWord",
-    "DimensionError",
-    "EquivalenceWitness",
-    "GapReport",
-    "GrowthQuery",
-    "GrowthReport",
-    "InconsistencyCertificate",
-    "Matrix",
-    "NonConvergenceError",
-    "PerronResult",
-    "REAL",
-    "TruncatedExtremalNorm",
-    "UnimodularDiagonal",
-    "WeightedLpNorm",
-    "as_matrix",
-    "bounds_report_from_json",
-    "bounds_report_to_json",
-    "build_norm",
-    "check_growth_condition",
-    "complexify_gap_search",
-    "contraction_check",
-    "entrywise_abs",
-    "enumerate_phase_diagonals",
-    "enumerate_sign_diagonals",
-    "eval_norm",
-    "identity_diagonal",
-    "induced_norm",
-    "is_nonnegative",
-    "matrix_from_json",
-    "matrix_to_json",
-    "mu_bounds",
-    "mu_lower_bound",
-    "mu_upper_bound",
-    "nonneg_spectral_radius",
-    "norm_from_json",
-    "norm_to_json",
-    "optimal_weighted_l1",
-    "sign_equivalent_to_abs",
-    "spectral_norm",
-    "spectral_radius",
-    "vector_norm",
-    "verify_norm_axioms",
-    "word_from_json",
-    "word_product",
-    "word_to_json",
-]
+__all__ = sorted(
+    name
+    for module in (bounds, diagonals, errors, extremal, matrices, perron, signequiv)
+    for name in module.__all__
+)

@@ -250,6 +250,12 @@ def _normalized(m):
     return Matrix(m.field, np.ldexp(m.arr.view(np.float64), -e).view(m.arr.dtype)), e
 
 
+def _abs_radius_cap(s):
+    """rho(|S|) + 1e-10 >= mu(S) for S = 2^-e A (``_normalized``), which holds over
+    both fields; the Perron tolerance is relative to the unit scale of S."""
+    return nonneg_spectral_radius(entrywise_abs(s), tol=1e-10).rho + 1e-10
+
+
 def _levels(arr, da, max_depth, threads):
     """``(depth, _LevelNorms)`` of each level of the interior tree."""
     interior = arr[None, :, :]
@@ -409,7 +415,7 @@ def mu_bounds(
     lower, witness, raw_upper, nodes = _walk(
         s, max_depth, grid_q, prune_delta * 2.0**-e, threads, True
     )
-    cap = nonneg_spectral_radius(entrywise_abs(s), tol=1e-10).rho + 1e-10
+    cap = _abs_radius_cap(s)
     heuristic = complex_search and m.n > 1 and raw_upper < cap
     lower, upper = lower * 2.0**e, min(raw_upper, cap) * 2.0**e
     # A word's rho and its 2-norm may round apart by an ulp when they are
@@ -430,22 +436,25 @@ def mu_bounds(
 
 
 def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int = 1) -> GrowthReport:
-    """Finite-depth probe of the normalized product-growth sequence.
+    """Normalized product-growth sequence with a certified verdict.
 
-    Computes ``g_k = c^{-k} * max_words ||A D_1 ... D_{k-1} A||_2`` for
-    k = 1..m with c the query threshold.  The verdict is ``bounded`` when
-    the sequence is non-increasing over the last max(3, m//4) steps and
-    ends no higher than it starts, ``growing`` when it ends more than
-    10x above its start with sustained increase, and ``inconclusive``
-    otherwise (always so for m < 2).  Only a growing verdict backed by a
-    certified lower bound is conclusive; the sequence itself is reported
-    for inspection.  A threshold so far from the matrix scale that c^k
-    leaves the normal float range for some k <= m raises ValueError.
+    Computes ``g_k = c^{-k} * M_k``, M_k = max_words ||A D_1 ... D_{k-1} A||_2,
+    for k = 1..m with c the query threshold.  Both verdicts are certificates:
+
+    * ``bounded`` when c exceeds a certified upper bound on mu(A): some
+      M_k^(1/k) (1 + 1e-12) < c over the exact diagonal group (real letters,
+      or n = 1), or c exceeds the rho(|A|) cap that ``mu_bounds`` applies.
+    * ``growing`` when some word has rho(A D_1 ... A D_k)^(1/k) > c (1 + 1e-12),
+      so its powers make g_k unbounded.  As rho(P D) <= ||P||, only levels
+      whose M_k^(1/k) exceeds c are tried, on the terminal products P D of the
+      interiors attaining M_k; the first witness ends the search.
+
+    Both or neither gives ``inconclusive``, and so does m < 2.  A threshold so
+    far from the matrix scale that c^k leaves the normal float range for some
+    k <= m raises ValueError.
     """
     m = as_matrix(a)
     c = query.level if query.level is not None else spectral_radius(m) + query.eps
-    if c <= 0:
-        raise ValueError("growth threshold must be positive")
     s, e = _normalized(m)
     c_s = c * 2.0**-e
     # c_s^k must stay a normal float (binary exponent within +-1022) for k <= m.
@@ -454,26 +463,23 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
             f"growth threshold {c!r} is too far from the matrix scale: c^k leaves "
             f"the float range for some k <= {query.m}"
         )
-    arr, da = _search_setup(s, grid_q, True, query.m)[3:]
-    g = [float(level.top().max()) / c_s**k for k, level in _levels(arr, da, query.m, threads)]
-
-    depth = query.m
-    if depth < 2:
-        return GrowthReport("inconclusive", tuple(g), float(c), depth)
-    window = min(max(3, depth // 4), depth - 1)
-    steps = range(depth - 1 - window, depth - 1)
-    slack = 1 + 1e-12
-    non_increasing = all(g[i + 1] <= g[i] * slack for i in steps)
-    # A zero level forces every deeper level to zero, so increase requires
-    # strictly positive predecessors throughout the window.
-    increasing = all(g[i] > 0 and g[i + 1] > g[i] for i in steps)
-    if non_increasing and g[-1] <= g[0] * slack:
-        verdict = "bounded"
-    elif increasing and g[-1] > 10 * g[0]:
-        verdict = "growing"
-    else:
-        verdict = "inconclusive"
-    return GrowthReport(verdict, tuple(g), float(c), depth)
+    q, _, phases, arr, da = _search_setup(s, grid_q, True, query.m)
+    exact_group = q is None or m.n == 1
+    bounded, growing, g = c_s > _abs_radius_cap(s), False, []
+    for k, level in _levels(arr, da, query.m, threads):
+        top = float(level.top().max())
+        g.append(top / c_s**k)
+        root = top ** (1.0 / k)
+        bounded = bounded or (exact_group and root * (1 + 1e-12) < c_s)
+        if not growing and root > c_s:
+            # ``top`` took the SVD of every interior that can attain M_k.
+            maxima = level.interior[level.exact == top]
+            radii = _batch_radii(_terminal(maxima, phases), threads)
+            growing = float(radii.max()) ** (1.0 / k) > c_s * (1 + 1e-12)
+    verdict = "inconclusive"
+    if query.m >= 2 and bounded != growing:
+        verdict = "bounded" if bounded else "growing"
+    return GrowthReport(verdict, tuple(g), float(c), query.m)
 
 
 def bounds_report_to_json(report: BoundsReport) -> dict:

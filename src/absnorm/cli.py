@@ -273,12 +273,13 @@ _FLAGS = {
 }
 
 _SUBCOMMANDS = (
-    ("mu", "certified two-sided bounds on mu(A)", True,
+    ("mu", cmd_mu, "certified two-sided bounds on mu(A)", True,
      ("--depth", "--grid-q", "--prune-delta", "--tol", "--threads")),
-    ("sign-equiv", "decide sign equivalence of A to |A|", True, ()),
-    ("growth", "normalized product-growth sequence and verdict", True,
+    ("sign-equiv", cmd_sign_equiv, "decide sign equivalence of A to |A|", True, ()),
+    ("growth", cmd_growth, "normalized product-growth sequence and verdict", True,
      ("--depth", "--grid-q", "--threads", "--eps", "--level")),
-    ("demo", "run the built-in example suite", False, ("--depth", "--trials", "--threads")),
+    ("demo", cmd_demo, "run the built-in example suite", False,
+     ("--depth", "--trials", "--threads")),
 )
 
 
@@ -288,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified bounds on the minimal induced absolute norm of a matrix.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, needs_input, flags in _SUBCOMMANDS:
+    for name, handler, help_text, needs_input, flags in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if needs_input:
             p.add_argument("input", help="matrix file (JSON schema or whitespace grid), or - for stdin")
         for flag in flags + ("--seed", "--format"):
@@ -297,19 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "mu": cmd_mu,
-    "sign-equiv": cmd_sign_equiv,
-    "growth": cmd_growth,
-    "demo": cmd_demo,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (NonConvergenceError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE_ERROR

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["AbsnormError", "DimensionError", "CapacityError", "NonConvergenceError"]
+
 
 class AbsnormError(Exception):
     """Base class for all errors raised by this package."""

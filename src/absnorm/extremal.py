@@ -21,7 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _CHUNK, _exponent, _extend, _levels, _normalized, _search_setup, mu_bounds
+from .bounds import (
+    _CHUNK,
+    _abs_radius_cap,
+    _exponent,
+    _extend,
+    _levels,
+    _normalized,
+    _search_setup,
+    mu_bounds,
+)
 from .errors import DimensionError
 from .matrices import (
     COMPLEX,
@@ -29,12 +38,10 @@ from .matrices import (
     Matrix,
     WeightedLpNorm,
     as_matrix,
-    entrywise_abs,
     matrix_from_json,
     matrix_to_json,
     vector_norm,
 )
-from .perron import nonneg_spectral_radius
 
 __all__ = [
     "TruncatedExtremalNorm",
@@ -115,7 +122,8 @@ def build_norm(a, c: float, m: int, grid_q: int = 2) -> TruncatedExtremalNorm:
     report = mu_bounds(mat, max_depth=cross_depth, grid_q=grid_q, prune_delta=1e-3)
     certified = report.upper
     if report.upper_heuristic:
-        certified = nonneg_spectral_radius(entrywise_abs(mat), tol=1e-10).rho + 1e-10
+        s, e = _normalized(mat)
+        certified = _abs_radius_cap(s) * 2.0**e
     below = c <= certified
     if below:
         warnings.warn(

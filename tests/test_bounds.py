@@ -27,6 +27,9 @@ from absnorm import (
 SHARP = np.array([[1.0, 1.0], [-1.0, -1.0]])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 ROOT2 = float(np.sqrt(2.0))
+GROWING_AT_21 = np.array(
+    [[1.4483, 0.2202, 1.1592], [-0.4793, 0.9381, -0.6015], [-0.1574, 2.4864, 0.7671]]
+)
 
 
 def sign_letters(n):
@@ -382,6 +385,78 @@ class TestGrowthCondition:
         with pytest.raises(ValueError):
             GrowthQuery(eps=0.1, m=0)
 
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_depth_one_witness_is_growing(self, m):
+        # rho(A diag(1, 1, -1)) = 2.1165 > c, so g_k grows without bound, yet
+        # g_1 .. g_4 fall.
+        report = check_growth_condition(GROWING_AT_21, GrowthQuery(eps=None, m=m, level=2.1))
+        d = np.array([1.0, 1.0, -1.0])
+        assert spectral_radius(GROWING_AT_21 * d[None, :]) > 2.1
+        assert report.verdict == "growing"
+
+    @pytest.mark.parametrize("seed", [27, 30, 38, 96, 169])
+    def test_witness_deeper_than_one_letter(self, seed):
+        # No single letter reaches c, but a word of length 2 or 3 does.
+        a = np.random.default_rng(seed).standard_normal((3, 3))
+        c = 0.5 * (mu_lower_bound(a, 1)[0] + mu_lower_bound(a, 6)[0])
+        report = check_growth_condition(a, GrowthQuery(eps=None, m=6, level=c))
+        assert report.verdict == "growing"
+
+    def test_verdicts_are_certified(self):
+        # Below a certified lower bound L the verdict is never "bounded", above
+        # a certified upper bound U never "growing"; 10% below L it decides, and
+        # far enough above U.
+        rng = np.random.default_rng(50)
+        for i in range(150):
+            a = rng.standard_normal((2 + i % 2,) * 2)
+            lower = mu_lower_bound(a, 6)[0]
+            upper = mu_upper_bound(a, 6, prune_delta=0)
+            for factor, side in [(0.5, "L"), (0.9, "L"), (0.99, "L"),
+                                 (1.01, "U"), (1.1, "U"), (2.0, "U")]:
+                c = factor * (lower if side == "L" else upper)
+                for m in (4, 8):
+                    verdict = check_growth_condition(a, GrowthQuery(eps=None, m=m, level=c)).verdict
+                    assert verdict != ("bounded" if side == "L" else "growing"), (i, c, m)
+                    if side == "L" and factor <= 0.9:
+                        assert verdict == "growing", (i, c, m)
+                    if side == "U" and (factor == 2.0 or (factor, m) == (1.1, 8)):
+                        assert verdict == "bounded", (i, c, m)
+
+    def test_complex_grid_bounded_only_above_cap(self):
+        # Grid maxima only bound the grid-restricted growth, so on the complex
+        # grid with n > 1 "bounded" needs c above rho(|A|) >= mu(A).
+        rng = np.random.default_rng(51)
+        verdicts = set()
+        for i in range(20):
+            n = 2 + i % 2
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            rho_abs = spectral_radius(entrywise_abs(a))
+            upper = mu_upper_bound(a, 3, grid_q=4, prune_delta=0)
+            for c in (upper * 1.001, 0.5 * (upper + rho_abs), 0.999 * rho_abs, 1.01 * rho_abs):
+                verdict = check_growth_condition(
+                    a, GrowthQuery(eps=None, m=3, level=c), grid_q=4
+                ).verdict
+                verdicts.add(verdict)
+                assert (verdict == "bounded") == (c > rho_abs), (i, c, verdict)
+        assert "bounded" in verdicts and len(verdicts) > 1
+
+    def test_eigensolves_are_gated(self, monkeypatch):
+        import absnorm.bounds as bounds_mod
+
+        taken = []
+        radii = bounds_mod._batch_radii
+
+        def counting(batch, threads=1):
+            taken.append(len(batch))
+            return radii(batch, threads)
+
+        monkeypatch.setattr(bounds_mod, "_batch_radii", counting)
+        a = np.random.default_rng(42).standard_normal((4, 4))
+        report = check_growth_condition(a, GrowthQuery(eps=0.1, m=7))
+        interiors = sum(8**k for k in range(7))
+        assert report.verdict == "growing"
+        assert 0 < sum(taken) < 0.01 * interiors
+
 
 def word_loop_lower(a, max_depth, grid_q=None, quotient=True):
     """Plain word-by-word lower search with the engine's tie rule.
@@ -630,16 +705,16 @@ class TestScale:
     def test_mu_bounds(self, s):
         report = mu_bounds(s * HADAMARD, max_depth=4)
         assert report.lower <= report.upper
-        assert report.lower == pytest.approx(s * ROOT2, rel=1e-12)
-        assert report.upper == pytest.approx(s * ROOT2, rel=1e-12)
+        assert report.lower / s == pytest.approx(ROOT2, rel=1e-12)
+        assert report.upper / s == pytest.approx(ROOT2, rel=1e-12)
         assert report.exact
 
     @pytest.mark.parametrize("s", [1e-200, 1e100])
     def test_lower_and_upper(self, s):
         value, word = mu_lower_bound(s * HADAMARD, max_depth=4)
-        assert value == pytest.approx(s * ROOT2, rel=1e-12)
+        assert value / s == pytest.approx(ROOT2, rel=1e-12)
         assert word_to_json(word) == [[1, 1]]
-        assert mu_upper_bound(s * HADAMARD, max_depth=4) == pytest.approx(s * ROOT2, rel=1e-12)
+        assert mu_upper_bound(s * HADAMARD, max_depth=4) / s == pytest.approx(ROOT2, rel=1e-12)
 
     @pytest.mark.parametrize("s", [1e-200, 1e100])
     def test_growth(self, s):

@@ -233,6 +233,14 @@ class TestGrowth:
         code, out = run(capsys, ["growth", str(path), "--eps", "0.1", "--format", "json"])
         assert json.loads(out)["verdict"] == "bounded" and code == EXIT_OK
 
+    def test_depth_one_witness_is_growing(self, capsys, tmp_path):
+        # rho(A diag(1, 1, -1)) = 2.1165 > 2.1 although g_1 .. g_4 fall.
+        path = tmp_path / "a.txt"
+        path.write_text("1.4483 0.2202 1.1592\n-0.4793 0.9381 -0.6015\n-0.1574 2.4864 0.7671\n")
+        argv = ["growth", str(path), "--level", "2.1", "--depth", "4", "--format", "json"]
+        code, out = run(capsys, argv)
+        assert json.loads(out)["verdict"] == "growing" and code == EXIT_OK
+
     def test_missing_eps_exits_2(self, capsys, sharp_file):
         code, _ = run(capsys, ["growth", sharp_file])
         assert code == EXIT_INPUT_ERROR

@@ -66,6 +66,20 @@ class TestBuild:
         assert not sharp_norm.c_below_certified_upper
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("s", [1e-12, 1e-200])
+    def test_heuristic_cross_check_at_every_scale(self, recwarn, s):
+        # On the complex grid the reference is the rho(|A|) cap; taken on the
+        # unscaled |A| with an absolute margin it read 1e-10 at tiny scales.
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        rho = float(np.abs(np.linalg.eigvals(np.abs(a))).max())
+        base = build_norm(a, c=1.05 * rho, m=3, grid_q=4)
+        norm = build_norm(s * a, c=1.05 * rho * s, m=3, grid_q=4)
+        assert not norm.c_below_certified_upper
+        assert len(recwarn) == 0
+        assert norm.certified_upper / s >= rho
+        assert norm.certified_upper / s == pytest.approx(base.certified_upper, rel=1e-9)
+
     def test_zero_matrix_is_euclidean(self):
         norm = build_norm(np.zeros((2, 2)), c=1.0, m=3)
         rng = np.random.default_rng(0)

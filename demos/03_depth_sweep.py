@@ -24,7 +24,7 @@ print("rho(|A|) =", spectral_radius(entrywise_abs(a)))
 print()
 print(f"{'depth':>5} {'lower':>18} {'upper':>18} {'width':>12} {'nodes':>9}")
 for depth in range(1, 9):
-    r = mu_bounds(a, max_depth=depth, prune_delta=1e-3, use_shortcut=False)
+    r = mu_bounds(a, max_depth=depth, use_shortcut=False)
     print(
         f"{depth:>5} {r.lower:>18.12f} {r.upper:>18.12f}"
         f" {r.upper - r.lower:>12.3e} {r.nodes_visited:>9}"

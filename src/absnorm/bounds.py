@@ -19,13 +19,9 @@ rho(P D_k) <= ||P D_k|| = ||P||, eigensolves only the prefixes with
 ||P||^(1/k) within twice the tie slack of the best value so far; the
 exhaustive maximum and its lexicographic tie-break are unchanged.
 
-The upper side is level-synchronous branch-and-bound over a mask of alive
-interiors with the classical delta-relaxed rule: P is cut once
-||P||^(1/k) <= alpha + prune_delta, alpha being the best rho^(1/k) of the
-depth-1 words and the alive interiors (eigensolved only where the norm
-can raise it).  If pruning empties the mask, alpha + prune_delta itself is
-a certified upper bound; otherwise max(alpha + prune_delta, best alive
-norm^(1/depth)) is.  prune_delta = 0 prunes nothing.
+The upper side is the best level maximum, min over k of M_k^(1/k) with
+M_k the largest ||P|| on level k, read from the interiors that can attain it.
+``prune_delta`` is accepted for compatibility and has no effect.
 
 All searches, and the shortcut's rho(|A|), run on 2^-e A with 2^e just
 above max|a_ij| and scale back exactly, so products at scales like 1e-200
@@ -77,7 +73,9 @@ _TIE_REL = 1e-12
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Certified interval for mu(A) with its witnesses and search metadata."""
+    """Certified interval for mu(A) with its witnesses and search metadata;
+    ``nodes_visited`` counts the words the lower side covers (the sum of L^k
+    over k <= depth for L letters, 0 when a shortcut applies)."""
 
     lower: float
     upper: float
@@ -109,10 +107,10 @@ class GrowthQuery:
         if self.m < 1:
             raise ValueError("depth m must be at least 1")
         if self.level is None:
-            if self.eps is None or self.eps <= 0:
-                raise ValueError("eps must be positive when no level is supplied")
-        elif self.level <= 0:
-            raise ValueError("level must be positive")
+            if self.eps is None or not 0 < self.eps < math.inf:
+                raise ValueError(f"eps must be positive and finite without a level, got {self.eps!r}")
+        elif not 0 < self.level < math.inf:
+            raise ValueError(f"level must be positive and finite, got {self.level!r}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +146,8 @@ def _search_setup(m, grid_q, quotient, depth=0):
 def _check_search_args(max_depth, prune_delta=0.0):
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    if prune_delta < 0:
-        raise ValueError("prune_delta must be nonnegative")
+    if not 0 <= prune_delta < math.inf:  # NaN and infinities fail too
+        raise ValueError(f"prune_delta must be nonnegative and finite, got {prune_delta!r}")
 
 
 def _chunked(batch, fn, threads):
@@ -188,9 +186,9 @@ class _LevelNorms:
         self.exact[todo] = _batch_norms(self.interior[todo], self.threads)
         return self.exact[idx]
 
-    def where(self, bound, among=True):
-        """Mask of the interiors in ``among`` with ||P||^(1/depth) >= bound."""
-        mask = among & (self.hi ** (1.0 / self.depth) >= bound)
+    def where(self, bound):
+        """Mask of the interiors with ||P||^(1/depth) >= bound."""
+        mask = self.hi ** (1.0 / self.depth) >= bound
         mask[mask] = self.norms(np.flatnonzero(mask)) ** (1.0 / self.depth) >= bound
         return mask
 
@@ -265,17 +263,13 @@ def _levels(arr, da, max_depth, threads):
         yield depth, _LevelNorms(interior, depth, threads)
 
 
-def _walk(m, max_depth, grid_q, prune_delta, threads, quotient):
+def _walk(m, max_depth, grid_q, threads, quotient):
     """``(lower, witness, upper, nodes)`` of one walk; see the module docstring."""
     q, exponents, phases, arr, da = _search_setup(m, grid_q, quotient, max_depth)
     size = len(phases)
     best, best_flat, best_depth = -np.inf, 0, 1
-    upper, alpha, pruned_any = np.inf, 0.0, False
-    nodes = size  # the depth-1 words that seed alpha
-    alive = np.ones(1, dtype=bool)
+    upper, nodes = np.inf, 0
     for depth, level in _levels(arr, da, max_depth, threads):
-        alive = np.repeat(alive, size) if depth > 1 else alive
-
         # Lower: rho(P D) <= ||P D|| = ||P||, so only the prefixes whose norm
         # reaches the best value within twice the tie slack are eigensolved.
         nodes += size**depth
@@ -286,28 +280,8 @@ def _walk(m, max_depth, grid_q, prune_delta, threads, quotient):
             if _improves(value, best):
                 best, best_depth = value, depth
                 best_flat = int(cand[first // size]) * size + first % size
-            if depth == 1:
-                alpha = float(radii.max())
-
-        # Upper: the alive interiors, cut once their root is <= alpha + delta.
-        if not alive.any():
-            continue
-        nodes += int(alive.sum())
-        if not pruned_any:
-            upper = min(upper, float((level.top() ** (1.0 / depth)).max()))
-        if prune_delta > 0 and depth > 1:
-            gate = np.flatnonzero(level.where(alpha - 2 * _TIE_REL * max(1.0, alpha), alive))
-            if gate.size:
-                top = float(_batch_radii(level.interior[gate], threads).max())
-                alpha = max(alpha, top ** (1.0 / depth))
-            keep = level.where(np.nextafter(alpha + prune_delta, np.inf), alive)  # > alpha + delta
-            pruned_any = pruned_any or not np.array_equal(keep, alive)
-            alive = keep
-            if not alive.any():
-                upper = min(upper, alpha + prune_delta)
-    if pruned_any and alive.any():
-        roots = level.norms(np.flatnonzero(alive)) ** (1.0 / depth)
-        upper = min(upper, max(alpha + prune_delta, float(roots.max())))
+        # Upper: M_k^(1/k) >= mu(A) at every depth k.
+        upper = min(upper, float((level.top() ** (1.0 / depth)).max()))
     digits = np.unravel_index(best_flat, (size,) * best_depth)
     letters = (UnimodularDiagonal(phases[d], q=q or 2, indices=exponents[d]) for d in digits)
     return float(best), DiagonalWord(tuple(letters)), upper, nodes
@@ -335,7 +309,7 @@ def mu_lower_bound(
     m = as_matrix(a)
     _check_search_args(max_depth)
     s, e = _normalized(m)
-    value, word, _, _ = _walk(s, max_depth, grid_q, 0.0, threads, quotient)
+    value, word, _, _ = _walk(s, max_depth, grid_q, threads, quotient)
     return value * 2.0**e, word
 
 
@@ -349,14 +323,15 @@ def mu_upper_bound(
 ) -> float:
     """Certified upper bound from norms of diagonal-word products.
 
-    See the module docstring for the branch-and-bound rule.  Over a
-    complex phase grid with n > 1 the returned value only bounds the
-    grid-restricted supremum (callers flag it heuristic).
+    Returns min over k <= max_depth of M_k^(1/k), M_k the largest level-k
+    product norm.  ``prune_delta`` is accepted and validated but has no
+    effect.  Over a complex phase grid with n > 1 the returned value only
+    bounds the grid-restricted supremum (callers flag it heuristic).
     """
     m = as_matrix(a)
     _check_search_args(max_depth, prune_delta)
     s, e = _normalized(m)
-    return _walk(s, max_depth, grid_q, prune_delta * 2.0**-e, threads, quotient)[2] * 2.0**e
+    return _walk(s, max_depth, grid_q, threads, quotient)[2] * 2.0**e
 
 
 def mu_bounds(
@@ -376,12 +351,13 @@ def mu_bounds(
     additionally capped at rho(|A|), which dominates mu(A) for every
     matrix.  ``use_shortcut=False`` forces the generic engine (used to
     cross-validate the shortcut).  The reported upper bound is never
-    below the reported lower bound.
+    below the reported lower bound.  ``prune_delta`` is accepted and
+    validated but has no effect.
     """
     m = as_matrix(a)
     _check_search_args(max_depth, prune_delta)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     complex_search = m.field == COMPLEX or grid_q > 2
     report_q = grid_q if complex_search else None
     s, e = _normalized(m)
@@ -412,9 +388,7 @@ def mu_bounds(
                 upper_heuristic=False,
             )
 
-    lower, witness, raw_upper, nodes = _walk(
-        s, max_depth, grid_q, prune_delta * 2.0**-e, threads, True
-    )
+    lower, witness, raw_upper, nodes = _walk(s, max_depth, grid_q, threads, True)
     cap = _abs_radius_cap(s)
     heuristic = complex_search and m.n > 1 and raw_upper < cap
     lower, upper = lower * 2.0**e, min(raw_upper, cap) * 2.0**e

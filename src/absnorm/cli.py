@@ -261,7 +261,7 @@ _FLAGS = {
     "--grid-q": dict(type=int, default=2,
                      help="phase grid order; >2 switches to complex-grid semantics (default 2)"),
     "--prune-delta": dict(type=float, default=1e-3,
-                          help="branch-and-bound pruning slack; 0 disables pruning (default 1e-3)"),
+                          help="accepted for compatibility; has no effect (default 1e-3)"),
     "--tol": dict(type=float, default=1e-9, help="exactness tolerance (default 1e-9)"),
     "--trials": dict(type=int, default=1000, help="random trials for audits (default 1000)"),
     "--threads": dict(type=int, default=0, help="worker threads; 0 means all cores"),

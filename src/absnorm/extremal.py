@@ -119,7 +119,7 @@ def build_norm(a, c: float, m: int, grid_q: int = 2) -> TruncatedExtremalNorm:
     cross_depth = 1
     while cross_depth < 4 and letters ** (cross_depth + 1) <= 10**6:
         cross_depth += 1
-    report = mu_bounds(mat, max_depth=cross_depth, grid_q=grid_q, prune_delta=1e-3)
+    report = mu_bounds(mat, max_depth=cross_depth, grid_q=grid_q)
     certified = report.upper
     if report.upper_heuristic:
         s, e = _normalized(mat)

@@ -129,7 +129,7 @@ class TestUpperBound:
             pruned = mu_upper_bound(a, max_depth=5, prune_delta=1e-3)
             lower, _ = mu_lower_bound(a, max_depth=5)
             assert pruned >= lower - 1e-12
-            assert pruned <= exhaustive + 1e-3 + 1e-12
+            assert pruned == exhaustive
 
     def test_quotient_matches_full(self):
         rng = np.random.default_rng(4)
@@ -306,6 +306,19 @@ class TestMuBounds:
         with pytest.raises(ValueError):
             mu_upper_bound(SHARP, max_depth=2, prune_delta=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="prune_delta"):
+            mu_upper_bound(SHARP, max_depth=2, prune_delta=bad)
+        with pytest.raises(ValueError, match="prune_delta"):
+            mu_bounds(HADAMARD, max_depth=2, prune_delta=bad)
+        with pytest.raises(ValueError, match="tol"):
+            mu_bounds(HADAMARD, max_depth=2, tol=bad)
+        with pytest.raises(ValueError, match="eps"):
+            GrowthQuery(eps=bad, m=3)
+        with pytest.raises(ValueError, match="level"):
+            GrowthQuery(eps=None, m=3, level=bad)
+
 
 class TestGrowthCondition:
     def test_sharp_growing_ratio_four(self):
@@ -422,6 +435,20 @@ class TestGrowthCondition:
                     if side == "U" and (factor == 2.0 or (factor, m) == (1.1, 8)):
                         assert verdict == "bounded", (i, c, m)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bounded_exactly_above_mu_bounds_upper(self, n):
+        # Growth and mu_bounds share one certified upper bound: the best level
+        # maximum min_k M_k^(1/k), capped at rho(|A|).
+        rng = np.random.default_rng(52 + n)
+        for i in range(40):
+            a = rng.standard_normal((n, n))
+            for depth in (2, 3, 5):
+                upper = mu_bounds(a, max_depth=depth, use_shortcut=False).upper
+                for factor, bounded in [(1 + 1e-9, True), (1 - 1e-9, False)]:
+                    query = GrowthQuery(eps=None, m=depth, level=upper * factor)
+                    verdict = check_growth_condition(a, query).verdict
+                    assert (verdict == "bounded") == bounded, (i, depth, factor, verdict)
+
     def test_complex_grid_bounded_only_above_cap(self):
         # Grid maxima only bound the grid-restricted growth, so on the complex
         # grid with n > 1 "bounded" needs c above rho(|A|) >= mu(A).
@@ -490,40 +517,6 @@ def word_loop_lower(a, max_depth, grid_q=None, quotient=True):
     return best, [letters[i] for i in best_word]
 
 
-def word_loop_upper(a, max_depth, prune_delta):
-    """The pruned upper search over plain lists of products, one product at a time.
-
-    Returns the bound and the number of products it visited (the depth-1
-    words that seed alpha, then every surviving interior).
-    """
-    a = np.asarray(a, dtype=float)
-    letters = sign_letters(a.shape[0])
-
-    def rho(p):
-        return float(np.abs(np.linalg.eigvals(p)).max())
-
-    upper = float(np.linalg.norm(a, 2))
-    alpha = max(rho(a * d[None, :]) for d in letters)
-    level, roots, pruned = [a], [upper], False
-    visited = 1 + len(letters)
-    for k in range(2, max_depth + 1):
-        level = [(p * d[None, :]) @ a for p in level for d in letters]
-        visited += len(level)
-        roots = [float(np.linalg.norm(p, 2)) ** (1.0 / k) for p in level]
-        if not pruned:
-            upper = min(upper, max(roots))
-        alpha = max(alpha, max(rho(p) for p in level) ** (1.0 / k))
-        keep = [r > alpha + prune_delta for r in roots]
-        if not any(keep):
-            return min(upper, alpha + prune_delta), visited
-        pruned = pruned or not all(keep)
-        level = [p for p, kept in zip(level, keep) if kept]
-        roots = [r for r, kept in zip(roots, keep) if kept]
-    if pruned:
-        upper = min(upper, max(alpha + prune_delta, max(roots)))
-    return upper, visited
-
-
 def _walk_case(kind):
     if kind == "deep":
         # Its witness has length 6, found where the norm gate is selective.
@@ -569,13 +562,14 @@ class TestWalk:
         [(2, 8, 20, 1e-3), (2, 8, 10, 1e-4), (3, 5, 34, 1e-3), (3, 5, 35, 0.05), (4, 4, 34, 1e-3)],
     )
     def test_upper_matches_word_loop(self, n, depth, seed, prune_delta):
+        # The upper bound is the best level maximum whatever prune_delta says.
         a = np.random.default_rng(seed).standard_normal((n, n))
-        expected, visited = word_loop_upper(a, depth, prune_delta)
-        upper = mu_upper_bound(a, max_depth=depth, prune_delta=prune_delta)
-        assert upper == pytest.approx(expected, rel=1e-12)
+        expected = exhaustive_upper(a, depth)
+        for delta in (0.0, 1e-4, 1e-3, 0.05):
+            upper = mu_upper_bound(a, max_depth=depth, prune_delta=delta)
+            assert upper == pytest.approx(expected, rel=1e-12), delta
         report = mu_bounds(a, max_depth=depth, prune_delta=prune_delta, use_shortcut=False)
-        terminal_words = sum(2 ** ((n - 1) * k) for k in range(1, depth + 1))
-        assert report.nodes_visited == terminal_words + visited
+        assert report.nodes_visited == sum(2 ** ((n - 1) * k) for k in range(1, depth + 1))
 
     def test_threads_agree_across_chunks(self):
         import absnorm.bounds as bounds_mod
@@ -603,7 +597,7 @@ class TestWalk:
         assert 0 < sum(solved) < 0.1 * report.nodes_visited
 
     def test_power_of_two_scaling_is_exact(self):
-        # prune_delta and tol are absolute, so they scale with the matrix.
+        # tol is absolute, so it scales with the matrix; prune_delta has no effect.
         a = np.random.default_rng(33).standard_normal((3, 3))
         base = mu_bounds(a, max_depth=5, use_shortcut=False)
         for k in (-600, -7, 9, 700):
@@ -666,8 +660,6 @@ class TestNormBrackets:
             assert (level.top() ** (1.0 / depth)).max() == roots.max()
             for t in np.quantile(roots, [0.0, 0.5, 0.9, 0.99, 1.0]):
                 assert np.array_equal(level.where(t), roots >= t)
-                among = rng.random(len(batch)) < 0.5
-                assert np.array_equal(level.where(t, among), among & (roots >= t))
 
     @staticmethod
     def _count_svd(monkeypatch):

@@ -257,6 +257,35 @@ class TestGrowth:
         assert err.startswith("error: growth threshold")
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["growth", "--level", "nan", "--depth", "3"],
+            ["growth", "--eps", "nan", "--depth", "3"],
+            ["growth", "--level", "inf", "--depth", "3"],
+            ["mu", "--tol", "nan"],
+            ["mu", "--prune-delta", "nan"],
+            ["mu", "--prune-delta", "inf"],
+        ],
+    )
+    def test_exits_2(self, capsys, hadamard_file, argv):
+        code = main(argv[:1] + [hadamard_file] + argv[1:] + ["--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
+    def test_prune_delta_has_no_effect(self, capsys, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("0.9 -0.6 0.3\n0.2 0.5 -0.8\n-0.4 0.1 0.7\n")
+        outputs = {
+            run(capsys, ["mu", str(path), "--depth", "4", "--prune-delta", d, "--format", "json"])
+            for d in ("0", "1e-3", "0.05")
+        }
+        assert len(outputs) == 1 and next(iter(outputs))[0] == EXIT_OK
+
+
 class TestDemo:
     def test_all_fixtures_pass(self, capsys):
         code, out = run(capsys, ["demo", "--trials", "50"])

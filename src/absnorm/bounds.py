@@ -14,10 +14,13 @@ Both families are read off one walk over the tree of interior products
 P = A D_1 ... D_{k-1} A (integer-coded letters, extended level by level by
 the factors D A).  A decision on an interior's 2-norm is first tried on the
 bound ||P||_F (1 + 1e-12); the SVD runs only where that cannot settle it.
-The lower side applies the terminal letter as a column scaling P D_k and, as
-rho(P D_k) <= ||P D_k|| = ||P||, eigensolves only the prefixes with
-||P||^(1/k) within twice the tie slack of the best value so far; the
-exhaustive maximum and its lexicographic tie-break are unchanged.
+The lower side applies the terminal letter as a column scaling T = P D_k and,
+as rho(T) <= ||T|| = ||P||, builds the terminals only of the prefixes with
+||P||^(1/k) within twice the tie slack of the best value so far.  In blocks
+of about 4096 terminals it then bounds rho(T) <= ||T^2||_F^(1/2), with a
+rounding margin, and eigensolves only the terminals whose bound reaches that
+bar (a level whose first block drops none skips the bound); the exhaustive
+maximum and its lexicographic tie-break are unchanged.
 
 The upper side is the best level maximum, min over k of M_k^(1/k) with
 M_k the largest ||P|| on level k, read from the interiors that can attain it.
@@ -66,6 +69,8 @@ __all__ = [
 
 _NODE_BUDGET = 10**8
 _CHUNK = 1 << 16
+# Terminal products per eigensolve block of the lower walk.
+_BLOCK = 4096
 # Two values within this relative slack are treated as a tie, resolved to
 # the lexicographically earlier word.
 _TIE_REL = 1e-12
@@ -150,13 +155,18 @@ def _check_search_args(max_depth, prune_delta=0.0):
         raise ValueError(f"prune_delta must be nonnegative and finite, got {prune_delta!r}")
 
 
+def _ordered_map(fn, blocks, threads):
+    """``[fn(b) for b in blocks]``, over a thread pool when threads > 1."""
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, blocks))
+    return [fn(b) for b in blocks]
+
+
 def _chunked(batch, fn, threads):
     """``fn`` applied to row-chunks of a stacked matrix batch, concatenated in order."""
     blocks = [batch[i : i + _CHUNK] for i in range(0, len(batch), _CHUNK)] or [batch]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(fn, blocks)))
-    out = [fn(b) for b in blocks]
+    out = _ordered_map(fn, blocks, threads)
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
@@ -231,6 +241,68 @@ def _terminal(interior, phases):
     return (interior[:, None, :, :] * phases[None, :, None, :]).reshape(-1, n, n)
 
 
+def _root_bounds(interior, terminals, depth):
+    """Upper bounds on rho(T)^(1/depth) for ``terminals = _terminal(interior, phases)``.
+
+    rho(T)^2 = rho(T^2) <= ||T^2||_F.  T is divided by its interior's largest
+    |entry| s first (a unimodular column scaling keeps |t_ij| and ||T||_F =
+    ||P||_F), and |fl(T^2) - T^2| <= gamma |T|^2 entrywise (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 3), so
+    rho(T) <= s ((||fl(T^2)||_F + gamma ||T||_F^2) (1 + 1e-12))^(1/2).
+    gamma = m u / (1 - m u) with m = n for the real product (n + 2 over C,
+    Higham §3.6), plus 2 for the rounding of T / s, plus 2n^2 + 1 so that the
+    bound also holds for eigenvalues computed with a backward error up to
+    n^2 u ||T||_F (a nilpotent T has computed eigenvalues of about
+    u^(1/2) ||T||_F).  The factor 1 + 1e-12 covers the rounding of the norms.  ||T||_F is about 1 or
+    more after the division, so squares lost to underflow stay inside the
+    margin, and the 1/depth root is taken per factor, so none underflows.
+    """
+    n, letters = terminals.shape[-1], len(terminals) // len(interior)
+    mag = np.abs(interior)
+    top = mag.max(axis=(1, 2))
+    top = np.where(top > 0, top, 1.0)
+    frob2 = np.square(mag / top[:, None, None]).sum(axis=(1, 2))
+    scaled = terminals / np.repeat(top, letters)[:, None, None]
+    square = (scaled @ scaled).view(np.float64)  # a complex square as its real pairs
+    units = 2 * n * n + n + (5 if np.iscomplexobj(terminals) else 3)
+    gamma = units * 2.0**-53 / (1 - units * 2.0**-53)
+    bound = np.sqrt(np.square(square, out=square).sum(axis=(1, 2)))
+    bound += gamma * np.repeat(frob2, letters)
+    return np.repeat(top ** (1.0 / depth), letters) * (bound * (1 + 1e-12)) ** (0.5 / depth)
+
+
+def _gated_radii(level, cand, phases, bar, threads):
+    """rho of every terminal ``P·D`` of the interiors ``cand`` (``_terminal`` order),
+    0 where ``_root_bounds`` certifies rho^(1/depth) < bar.
+
+    Terminals are built, bounded and eigensolved in blocks of about ``_BLOCK``
+    rows.  When the first block's bound drops no terminal (every word ties, as
+    on a triangular A), the level's other blocks skip the bound; bar = -inf
+    skips it everywhere.  The blocks after the first run over ``threads`` when
+    the level has more than ``_CHUNK`` terminals: each worker thread keeps a
+    malloc arena of about a block's temporaries, which costs more resident
+    memory than threads save on a level of a few blocks.
+    """
+    per = max(1, _BLOCK // len(phases))
+    blocks = [cand[i : i + per] for i in range(0, len(cand), per)]
+
+    def solve(rows, bar):
+        interior = level.interior[rows]
+        terminals = _terminal(interior, phases)
+        if bar == -np.inf:
+            return _batch_radii(terminals), False
+        keep = _root_bounds(interior, terminals, level.depth) >= bar
+        radii = np.zeros(len(terminals))
+        radii[keep] = _batch_radii(terminals[keep])
+        return radii, not keep.all()
+
+    first, dropped = solve(blocks[0], bar)
+    bar = bar if dropped else -np.inf
+    threads = threads if len(cand) * len(phases) > _CHUNK else 1
+    rest = _ordered_map(lambda rows: solve(rows, bar), blocks[1:], threads)
+    return np.concatenate([first] + [radii for radii, _ in rest])
+
+
 def _improves(candidate, best):
     if not math.isfinite(best):
         return candidate > best
@@ -271,11 +343,14 @@ def _walk(m, max_depth, grid_q, threads, quotient):
     upper, nodes = np.inf, 0
     for depth, level in _levels(arr, da, max_depth, threads):
         # Lower: rho(P D) <= ||P D|| = ||P||, so only the prefixes whose norm
-        # reaches the best value within twice the tie slack are eigensolved.
+        # reaches the best value within twice the tie slack are extended by a
+        # letter, and only the terminals whose square bound reaches it are
+        # eigensolved.  A word below that bar cannot tie with an improvement.
         nodes += size**depth
-        cand = np.flatnonzero(level.where(best - 2 * _TIE_REL * max(1.0, abs(best))))
+        bar = best - 2 * _TIE_REL * max(1.0, abs(best))
+        cand = np.flatnonzero(level.where(bar))
         if cand.size:
-            radii = _batch_radii(_terminal(level.interior[cand], phases), threads)
+            radii = _gated_radii(level, cand, phases, bar, threads)
             first, value = _first_within_tie(radii ** (1.0 / depth))
             if _improves(value, best):
                 best, best_depth = value, depth

@@ -16,6 +16,7 @@ Evaluation does not extend a product y at level j once c^-j ||y|| G_{m-j}
 for every word of length k <= r: the value is the full tree's, bit for bit.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -110,8 +111,8 @@ def build_norm(a, c: float, m: int, grid_q: int = 2) -> TruncatedExtremalNorm:
     norm can then no longer witness ``||Ax|| <= c ||x||``.
     """
     mat = as_matrix(a)
-    if c <= 0:
-        raise ValueError("scale c must be positive")
+    if not 0 < c < math.inf:  # NaN and infinities fail too
+        raise ValueError(f"scale c must be positive and finite, got {c!r}")
     if m < 0:
         raise ValueError("truncation depth m must be nonnegative")
     letters = len(_search_setup(mat, grid_q, True, m)[1])

@@ -528,6 +528,10 @@ def _walk_case(kind):
         return np.triu(rng.standard_normal((3, 3)), 1)
     if kind == "zero":
         return np.zeros((3, 3))
+    if kind == "triangular":  # every word ties at max |a_ii|
+        return np.triu(rng.standard_normal((3, 3)))
+    if kind == "hadamard":  # every word ties at 2: each A D is 2 x orthogonal
+        return np.kron(HADAMARD, HADAMARD)
     if kind == "complex":
         return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     return rng.standard_normal((3, 3))
@@ -546,6 +550,9 @@ class TestWalk:
             ("zero", 3, None, True),
             ("complex", 4, 4, True),
             ("complex", 3, 4, False),
+            ("triangular", 4, None, True),
+            ("triangular", 3, 4, True),
+            ("hadamard", 4, None, True),
         ],
     )
     def test_lower_matches_word_loop(self, kind, depth, grid_q, quotient):
@@ -584,17 +591,85 @@ class TestWalk:
     def test_eigensolves_are_gated(self, monkeypatch):
         import absnorm.bounds as bounds_mod
 
-        solved = []
-        radii = bounds_mod._batch_radii
+        solved, built = [], []
+        radii, terminal = bounds_mod._batch_radii, bounds_mod._terminal
 
         def counting(batch, threads=1):
             solved.append(len(batch))
             return radii(batch, threads)
 
+        def building(interior, phases):
+            built.append(len(interior) * len(phases))
+            return terminal(interior, phases)
+
         monkeypatch.setattr(bounds_mod, "_batch_radii", counting)
+        monkeypatch.setattr(bounds_mod, "_terminal", building)
         a = np.random.default_rng(32).standard_normal((4, 4))
         report = mu_bounds(a, max_depth=6, use_shortcut=False)
         assert 0 < sum(solved) < 0.1 * report.nodes_visited
+        # The square bound eigensolves at least 4x fewer terminals than the
+        # norm gate lets through.
+        assert 4 * sum(solved) <= sum(built)
+
+    @pytest.mark.parametrize("kind", ["random", "deep", "triangular", "triangular_q4", "hadamard"])
+    def test_small_blocks_match(self, monkeypatch, kind):
+        # Blocks of one interior, or a few, split every level into many
+        # blocks; the report stays the same at any thread count.
+        import absnorm.bounds as bounds_mod
+
+        q = 4 if kind == "triangular_q4" else 2
+        a = _walk_case("triangular" if q == 4 else kind)
+        depth = 3 if q == 4 else 4 if kind == "hadamard" else 5
+        baseline = bounds_report_to_json(mu_bounds(a, depth, grid_q=q, use_shortcut=False))
+        for block, chunk in ((1, bounds_mod._CHUNK), (16, 7)):
+            monkeypatch.setattr(bounds_mod, "_BLOCK", block)
+            monkeypatch.setattr(bounds_mod, "_CHUNK", chunk)
+            for threads in (1, 2):
+                report = mu_bounds(a, depth, grid_q=q, threads=threads, use_shortcut=False)
+                assert bounds_report_to_json(report) == baseline, (block, threads)
+
+    def test_terminal_memory_is_bounded(self):
+        # Every word ties on a triangular A, so the norm gate passes every
+        # interior: 4096 of them with 64 letters at depth 3.  Built at once
+        # their terminals take 64 MB; in blocks the walk stays far below.
+        import tracemalloc
+
+        a = np.triu(np.random.default_rng(40).standard_normal((4, 4)))
+        tracemalloc.start()
+        try:
+            report = mu_bounds(a, max_depth=3, grid_q=4, use_shortcut=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert report.lower == pytest.approx(np.abs(np.diag(a)).max(), rel=1e-12)
+
+    def test_threads_split_gated_blocks(self, monkeypatch):
+        import absnorm.bounds as bounds_mod
+
+        pooled, gated = [], []
+        ordered_map, root_bounds = bounds_mod._ordered_map, bounds_mod._root_bounds
+
+        def spying(fn, blocks, threads):
+            pooled.append((threads, len(blocks)))
+            return ordered_map(fn, blocks, threads)
+
+        def bounding(interior, terminals, depth):
+            gated.append(depth)
+            return root_bounds(interior, terminals, depth)
+
+        monkeypatch.setattr(bounds_mod, "_ordered_map", spying)
+        monkeypatch.setattr(bounds_mod, "_root_bounds", bounding)
+        a = np.triu(np.random.default_rng(40).standard_normal((4, 4)))
+        one = mu_bounds(a, max_depth=3, grid_q=4, threads=1, use_shortcut=False)
+        pooled.clear()
+        two = mu_bounds(a, max_depth=3, grid_q=4, threads=2, use_shortcut=False)
+        assert bounds_report_to_json(one) == bounds_report_to_json(two)
+        # The depth-3 level has 4096 * 64 terminals in 64 blocks.
+        assert (2, 63) in pooled
+        # Every word ties, so each level's first block drops no terminal and
+        # only that block is bounded (depth 1 is never).
+        assert gated == [2, 3, 2, 3]
 
     def test_power_of_two_scaling_is_exact(self):
         # tol is absolute, so it scales with the matrix; prune_delta has no effect.
@@ -625,6 +700,56 @@ def _bracket_batches():
         "huger": base * 1e200,  # plain squares overflow
         "rows": rng.standard_normal((200, 1, 4)),
     }
+
+
+def _square_bound_batches():
+    rng = np.random.default_rng(43)
+    real = rng.standard_normal((2000, 4, 4))
+    cplx = real + 1j * rng.standard_normal((2000, 4, 4))
+    u, v = rng.standard_normal((2000, 3, 1)), rng.standard_normal((2000, 1, 3))
+    v -= (v @ u) / (u.transpose(0, 2, 1) @ u) * u.transpose(0, 2, 1)  # v u = 0
+    uc = u + 1j * rng.standard_normal(u.shape)
+    vc = v + 1j * rng.standard_normal(v.shape)
+    vc -= (vc @ uc) / (uc.transpose(0, 2, 1) @ uc) * uc.transpose(0, 2, 1)
+    return {
+        "real": real,
+        "complex": cplx,
+        "tiny": real * 2.0**-1000,
+        "tiny_complex": cplx * 2.0**-1000,
+        "nilpotent_rank1": u * v,
+        "nilpotent_rank1_complex": uc * vc,
+        "nilpotent_triangular": np.triu(real, 1),
+    }
+
+
+class TestSquareBound:
+    """rho(T)^(1/k) <= bound from ||T^2||_F, the lower walk's eigensolve gate."""
+
+    @pytest.mark.parametrize("kind", sorted(_square_bound_batches()))
+    def test_bound_dominates_eigvals(self, kind):
+        import absnorm.bounds as bounds_mod
+        from absnorm.diagonals import _alphabet
+
+        interior = _square_bound_batches()[kind]
+        n = interior.shape[-1]
+        phases = _alphabet(n, 4 if np.iscomplexobj(interior) else None, True)[1][:4]
+        terminals = bounds_mod._terminal(interior, phases)
+        radii = np.abs(np.linalg.eigvals(terminals)).max(axis=-1)
+        for depth in (1, 3):
+            bound = bounds_mod._root_bounds(interior, terminals, depth)
+            assert np.all(np.isfinite(bound))
+            assert np.all(bound ** depth >= radii)
+
+    def test_jordan_blocks(self):
+        import absnorm.bounds as bounds_mod
+
+        rng = np.random.default_rng(44)
+        lam = np.concatenate([rng.standard_normal(200), 1e-9 * rng.standard_normal(50),
+                              [0.0, 1.0, -1.0, 1e-300]])
+        jordan = lam[:, None, None] * np.eye(4) + np.eye(4, k=1)
+        bound = bounds_mod._root_bounds(jordan, jordan, 1)
+        assert np.all(bound >= np.abs(lam))
+        assert np.all(bound >= np.abs(np.linalg.eigvals(jordan)).max(axis=-1))
 
 
 class TestNormBrackets:

@@ -52,6 +52,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_norm(SHARP, c=-1.0, m=2)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_non_finite_or_nonpositive_scale(self, c):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_norm(HADAMARD, c=c, m=3)
+
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
             build_norm(SHARP, c=2.5, m=-1)

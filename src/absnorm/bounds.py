@@ -19,8 +19,7 @@ as rho(T) <= ||T|| = ||P||, builds the terminals only of the prefixes with
 ||P||^(1/k) within twice the tie slack of the best value so far.  In blocks
 of about 4096 terminals it then bounds rho(T) <= ||T^2||_F^(1/2), with a
 rounding margin, and eigensolves only the terminals whose bound reaches that
-bar (a level whose first block drops none skips the bound); the exhaustive
-maximum and its lexicographic tie-break are unchanged.
+bar; the exhaustive maximum and its lexicographic tie-break are unchanged.
 
 The upper side is the best level maximum, min over k of M_k^(1/k) with
 M_k the largest ||P|| on level k, read from the interiors that can attain it.
@@ -241,66 +240,69 @@ def _terminal(interior, phases):
     return (interior[:, None, :, :] * phases[None, :, None, :]).reshape(-1, n, n)
 
 
-def _root_bounds(interior, terminals, depth):
-    """Upper bounds on rho(T)^(1/depth) for ``terminals = _terminal(interior, phases)``.
+def _root_bounds(level, rows, terminals):
+    """Upper bounds on rho(T)^(1/depth) for ``terminals = _terminal(level.interior[rows], phases)``.
 
     rho(T)^2 = rho(T^2) <= ||T^2||_F.  T is divided by its interior's largest
     |entry| s first (a unimodular column scaling keeps |t_ij| and ||T||_F =
     ||P||_F), and |fl(T^2) - T^2| <= gamma |T|^2 entrywise (Higham, *Accuracy
     and Stability of Numerical Algorithms*, ch. 3), so
-    rho(T) <= s ((||fl(T^2)||_F + gamma ||T||_F^2) (1 + 1e-12))^(1/2).
+    rho(T) <= s ((||fl(T^2)||_F + gamma ||T / s||_F^2) (1 + 1e-12))^(1/2),
+    with ||T / s||_F read from ``level.hi`` / s, which over-estimates it by
+    about 1 + 1e-12 while ``level.hi`` is a normal float.
     gamma = m u / (1 - m u) with m = n for the real product (n + 2 over C,
-    Higham §3.6), plus 2 for the rounding of T / s, plus 2n^2 + 1 so that the
-    bound also holds for eigenvalues computed with a backward error up to
-    n^2 u ||T||_F (a nilpotent T has computed eigenvalues of about
-    u^(1/2) ||T||_F).  The factor 1 + 1e-12 covers the rounding of the norms.  ||T||_F is about 1 or
-    more after the division, so squares lost to underflow stay inside the
-    margin, and the 1/depth root is taken per factor, so none underflows.
+    Higham §3.6), plus 2 for the rounding of T / s.  The factor 1 + 1e-12
+    covers the rounding of the norms.  ||T / s||_F is at least 1, so squares
+    lost to underflow stay inside the margin, and the 1/depth root is taken
+    per factor, so none underflows.
+
+    gamma has 2n^2 + 1 more units so that the bound also dominates
+    eigenvalues computed with a backward error E of ||E||_F <= n^2 u ||T||_F
+    (then rho(T + E)^2 <= ||T^2||_F + (2n^2 u + n^4 u^2) ||T||_F^2; a
+    nilpotent T has computed eigenvalues of about u^(1/2) ||T||_F).  LAPACK
+    bounds E only by p(n) u ||T|| with p(n) "a modestly growing function of
+    n" (LAPACK Users' Guide, §4.8), so p(n) = n^2 is an assumption, checked
+    on 1.4M random, complex, nilpotent and Jordan-like matrices.  The
+    certificate does not rest on it: a dropped terminal's exact rho is below
+    the bar.  Only the claim that the gated walk eigensolves every terminal
+    whose computed rho could win, and so matches the ungated walk bit for
+    bit, is empirical.
     """
-    n, letters = terminals.shape[-1], len(terminals) // len(interior)
-    mag = np.abs(interior)
-    top = mag.max(axis=(1, 2))
-    top = np.where(top > 0, top, 1.0)
-    frob2 = np.square(mag / top[:, None, None]).sum(axis=(1, 2))
-    scaled = terminals / np.repeat(top, letters)[:, None, None]
+    n, letters = terminals.shape[-1], len(terminals) // len(rows)
+    scale = np.abs(level.interior[rows]).max(axis=(1, 2))
+    scale = np.where(scale > 0, scale, 1.0)
+    scaled = terminals / np.repeat(scale, letters)[:, None, None]
     square = (scaled @ scaled).view(np.float64)  # a complex square as its real pairs
     units = 2 * n * n + n + (5 if np.iscomplexobj(terminals) else 3)
     gamma = units * 2.0**-53 / (1 - units * 2.0**-53)
     bound = np.sqrt(np.square(square, out=square).sum(axis=(1, 2)))
-    bound += gamma * np.repeat(frob2, letters)
-    return np.repeat(top ** (1.0 / depth), letters) * (bound * (1 + 1e-12)) ** (0.5 / depth)
+    bound += gamma * np.repeat(np.square(level.hi[rows] / scale), letters)
+    root = 1.0 / level.depth
+    return np.repeat(scale**root, letters) * (bound * (1 + 1e-12)) ** (root / 2)
 
 
 def _gated_radii(level, cand, phases, bar, threads):
     """rho of every terminal ``P·D`` of the interiors ``cand`` (``_terminal`` order),
-    0 where ``_root_bounds`` certifies rho^(1/depth) < bar.
+    0 where ``_root_bounds`` certifies rho^(1/depth) < bar (bar = -inf keeps all).
 
     Terminals are built, bounded and eigensolved in blocks of about ``_BLOCK``
-    rows.  When the first block's bound drops no terminal (every word ties, as
-    on a triangular A), the level's other blocks skip the bound; bar = -inf
-    skips it everywhere.  The blocks after the first run over ``threads`` when
-    the level has more than ``_CHUNK`` terminals: each worker thread keeps a
-    malloc arena of about a block's temporaries, which costs more resident
-    memory than threads save on a level of a few blocks.
+    rows.  The blocks run over ``threads`` when the level has more than
+    ``_CHUNK`` terminals: each worker thread keeps a malloc arena of about a
+    block's temporaries, which costs more resident memory than threads save
+    on a level of a few blocks.
     """
     per = max(1, _BLOCK // len(phases))
-    blocks = [cand[i : i + per] for i in range(0, len(cand), per)]
 
-    def solve(rows, bar):
-        interior = level.interior[rows]
-        terminals = _terminal(interior, phases)
-        if bar == -np.inf:
-            return _batch_radii(terminals), False
-        keep = _root_bounds(interior, terminals, level.depth) >= bar
+    def solve(rows):
+        terminals = _terminal(level.interior[rows], phases)
+        keep = _root_bounds(level, rows, terminals) >= bar
         radii = np.zeros(len(terminals))
         radii[keep] = _batch_radii(terminals[keep])
-        return radii, not keep.all()
+        return radii
 
-    first, dropped = solve(blocks[0], bar)
-    bar = bar if dropped else -np.inf
+    blocks = [cand[i : i + per] for i in range(0, len(cand), per)]
     threads = threads if len(cand) * len(phases) > _CHUNK else 1
-    rest = _ordered_map(lambda rows: solve(rows, bar), blocks[1:], threads)
-    return np.concatenate([first] + [radii for radii, _ in rest])
+    return np.concatenate(_ordered_map(solve, blocks, threads))
 
 
 def _improves(candidate, best):

@@ -147,9 +147,11 @@ def _search_setup(m, grid_q, quotient, depth=0):
     return q, exponents, phases, arr, phases[:, :, None] * arr[None, :, :]
 
 
-def _check_search_args(max_depth, prune_delta=0.0):
+def _check_search_args(max_depth, prune_delta=0.0, threads=1):
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
     if not 0 <= prune_delta < math.inf:  # NaN and infinities fail too
         raise ValueError(f"prune_delta must be nonnegative and finite, got {prune_delta!r}")
 
@@ -351,10 +353,17 @@ def _normalized(m):
     return Matrix(m.field, np.ldexp(m.arr.view(np.float64), -e).view(m.arr.dtype)), e
 
 
-def _abs_radius_cap(s):
-    """rho(|S|) + 1e-10 >= mu(S) for S = 2^-e A (``_normalized``), which holds over
-    both fields; the Perron tolerance is relative to the unit scale of S."""
-    return nonneg_spectral_radius(entrywise_abs(s), tol=1e-10).rho + 1e-10
+def _upper_bounds(s, q, best):
+    """``(reported, certified)`` upper bounds on mu(S), S = 2^-e A (``_normalized``),
+    from ``best`` = min_k M_k^(1/k) of a walk over the letters of ``_search_setup``
+    (q None for sign letters).  Both are capped at rho(|S|) + 1e-10 >= mu(S), which
+    holds over both fields (the Perron tolerance is relative to the unit scale of
+    S).  ``best`` bounds mu(S) only when the letters are the whole diagonal group
+    (sign letters, or n = 1); on a complex phase grid with n > 1 the certified
+    bound is the cap."""
+    cap = nonneg_spectral_radius(entrywise_abs(s), tol=1e-10).rho + 1e-10
+    reported = min(best, cap)
+    return reported, reported if q is None or s.n == 1 else cap
 
 
 def _levels(arr, da, max_depth, threads):
@@ -412,7 +421,7 @@ def mu_lower_bound(
         The bound and a word attaining it.
     """
     m = as_matrix(a)
-    _check_search_args(max_depth)
+    _check_search_args(max_depth, threads=threads)
     s, e = _normalized(m)
     value, word, _, _ = _walk(s, max_depth, grid_q, threads, quotient)
     return value * 2.0**e, word
@@ -434,7 +443,7 @@ def mu_upper_bound(
     bounds the grid-restricted supremum (callers flag it heuristic).
     """
     m = as_matrix(a)
-    _check_search_args(max_depth, prune_delta)
+    _check_search_args(max_depth, prune_delta, threads)
     s, e = _normalized(m)
     return _walk(s, max_depth, grid_q, threads, quotient)[2] * 2.0**e
 
@@ -460,11 +469,10 @@ def mu_bounds(
     validated but has no effect.
     """
     m = as_matrix(a)
-    _check_search_args(max_depth, prune_delta)
+    _check_search_args(max_depth, prune_delta, threads)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    complex_search = m.field == COMPLEX or grid_q > 2
-    report_q = grid_q if complex_search else None
+    report_q = grid_q if m.field == COMPLEX or grid_q > 2 else None
     s, e = _normalized(m)
 
     if use_shortcut:
@@ -493,10 +501,10 @@ def mu_bounds(
                 upper_heuristic=False,
             )
 
-    lower, witness, raw_upper, nodes = _walk(s, max_depth, grid_q, threads, True)
-    cap = _abs_radius_cap(s)
-    heuristic = complex_search and m.n > 1 and raw_upper < cap
-    lower, upper = lower * 2.0**e, min(raw_upper, cap) * 2.0**e
+    lower, witness, best, nodes = _walk(s, max_depth, grid_q, threads, True)
+    upper, certified = _upper_bounds(s, report_q, best)
+    heuristic = upper < certified
+    lower, upper = lower * 2.0**e, upper * 2.0**e
     # A word's rho and its 2-norm may round apart by an ulp when they are
     # equal in exact arithmetic; widen the upper side, never lower it.
     upper = max(upper, lower)
@@ -520,9 +528,10 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     Computes ``g_k = c^{-k} * M_k``, M_k = max_words ||A D_1 ... D_{k-1} A||_2,
     for k = 1..m with c the query threshold.  Both verdicts are certificates:
 
-    * ``bounded`` when c exceeds a certified upper bound on mu(A): some
-      M_k^(1/k) (1 + 1e-12) < c over the exact diagonal group (real letters,
-      or n = 1), or c exceeds the rho(|A|) cap that ``mu_bounds`` applies.
+    * ``bounded`` when c exceeds the certified upper bound on mu(A) by more
+      than 1e-12 relative: min_k M_k^(1/k) capped at rho(|A|) over the exact
+      diagonal group (real letters, or n = 1), else the cap alone, the rule
+      that also gives ``mu_bounds`` its upper bound.
     * ``growing`` when some word has rho(A D_1 ... A D_k)^(1/k) > c (1 + 1e-12),
       so its powers make g_k unbounded.  As rho(P D) <= ||P||, only levels
       whose M_k^(1/k) exceeds c are tried, on the terminal products P D of the
@@ -533,6 +542,7 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     k <= m raises ValueError.
     """
     m = as_matrix(a)
+    _check_search_args(query.m, threads=threads)
     c = query.level if query.level is not None else spectral_radius(m) + query.eps
     s, e = _normalized(m)
     c_s = c * 2.0**-e
@@ -543,18 +553,18 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
             f"the float range for some k <= {query.m}"
         )
     q, _, phases, arr, da = _search_setup(s, grid_q, True, query.m)
-    exact_group = q is None or m.n == 1
-    bounded, growing, g = c_s > _abs_radius_cap(s), False, []
+    best, growing, g = math.inf, False, []
     for k, level in _levels(arr, da, query.m, threads):
         top = float(level.top().max())
         g.append(top / c_s**k)
         root = top ** (1.0 / k)
-        bounded = bounded or (exact_group and root * (1 + 1e-12) < c_s)
+        best = min(best, root)
         if not growing and root > c_s:
             # ``top`` took the SVD of every interior that can attain M_k.
             maxima = level.interior[level.exact == top]
             radii = _batch_radii(_terminal(maxima, phases), threads)
             growing = float(radii.max()) ** (1.0 / k) > c_s * (1 + 1e-12)
+    bounded = _upper_bounds(s, q, best)[1] * (1 + 1e-12) < c_s
     verdict = "inconclusive"
     if query.m >= 2 and bounded != growing:
         verdict = "bounded" if bounded else "growing"

@@ -45,7 +45,9 @@ EXIT_COMPUTE_ERROR = 3
 
 
 def _threads(args) -> int:
-    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    if args.threads < 0:
+        raise ValueError(f"--threads must be 0 (all cores) or more, got {args.threads}")
+    return args.threads or os.cpu_count() or 1
 
 
 def _read_input(path):

@@ -14,6 +14,8 @@ quality depends on c and m.
 Evaluation does not extend a product y at level j once c^-j ||y|| G_{m-j}
 (1 + 1e-9) cannot reach the best term, where G_r >= c^-k ||A D ... D A||_2
 for every word of length k <= r: the value is the full tree's, bit for bit.
+The exact level maxima behind G_r also give the evaluator's certified upper
+bound on mu(A), so building a norm walks the word tree once.
 """
 
 import math
@@ -22,16 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    _CHUNK,
-    _abs_radius_cap,
-    _exponent,
-    _extend,
-    _levels,
-    _normalized,
-    _search_setup,
-    mu_bounds,
-)
+from .bounds import _CHUNK, _exponent, _extend, _levels, _normalized, _search_setup, _upper_bounds
 from .errors import DimensionError
 from .matrices import (
     COMPLEX,
@@ -63,34 +56,47 @@ __all__ = [
 class TruncatedExtremalNorm:
     """Evaluator state for the depth-m truncated extremal norm.
 
-    ``c_below_certified_upper`` is set when the requested scale does not
-    exceed the certified upper bound of mu(A) available at build time; the
-    infinite construction requires c > mu(A), so such evaluators cannot be
-    contractions.
+    ``certified_upper`` is the certified upper bound on mu(A) read from the
+    evaluator's own level maxima (``bounds._upper_bounds``), and
+    ``c_below_certified_upper`` is set when c does not exceed it; the infinite
+    construction requires c > mu(A), so such evaluators cannot be contractions.
+    Both are derived, never passed.
     """
 
     matrix: Matrix
     c: float
     m: int
     grid_q: int
-    c_below_certified_upper: bool = False
-    certified_upper: float = float("nan")
-    # From 2^-e A and c 2^-e: the factors D·A^T that extend a row (x^T D A^T =
+    certified_upper: float = field(init=False)
+    c_below_certified_upper: bool = field(init=False)
+    # From 2^-e A and _c = c 2^-e: the factors D·A^T that extend a row (x^T D A^T =
     # (A D x)^T), and _subtree[r] >= max_{k <= r} c^-k max_words ||A D_1 ... D_{k-1} A||_2.
+    _c: float = field(init=False, repr=False, compare=False)
     _factors: np.ndarray = field(init=False, repr=False, compare=False)
     _subtree: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 < self.c < math.inf:  # NaN and infinities fail too
+            raise ValueError(f"scale c must be positive and finite, got {self.c!r}")
+        if self.m < 0:
+            raise ValueError("truncation depth m must be nonnegative")
         s, e = _normalized(self.matrix)
-        arr, factors = _search_setup(Matrix(s.field, s.arr.T), self.grid_q, True, self.m)[3:]
+        q, _, _, arr, factors = _search_setup(Matrix(s.field, s.arr.T), self.grid_q, True, self.m)
         # Exact maxima M_k of the tree of A^T (the transposes of A's interiors)
-        # while a level fits one chunk, then M_{a+b} <= M_a M_b.
-        exact = next(k for k in range(1, self.m + 2) if k > self.m or len(factors) ** k > _CHUNK)
+        # while a level fits one chunk, to depth m + 1 and at least 4 for the
+        # certified upper bound; deeper, M_{a+b} <= M_a M_b.
+        depth = max(self.m + 1, 4)
+        exact = next(k for k in range(1, depth + 1) if k == depth or len(factors) ** k > _CHUNK)
         top = [float(lv.top().max()) for _, lv in _levels(arr, factors, exact, 1)]
+        best = min(t ** (1.0 / k) for k, t in enumerate(top, start=1))
+        certified = _upper_bounds(s, q, best)[1] * 2.0**e
         for r in range(exact + 1, self.m + 2):
             top.append(min(top[a - 1] * top[r - a - 1] for a in range(1, r)))
         c = self.c * 2.0**-e
-        bound = np.maximum.accumulate(np.array(top) * c ** -np.arange(1.0, self.m + 2))
+        bound = np.maximum.accumulate(np.array(top[: self.m + 1]) * c ** -np.arange(1.0, self.m + 2))
+        object.__setattr__(self, "certified_upper", certified)
+        object.__setattr__(self, "c_below_certified_upper", self.c <= certified)
+        object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_subtree", np.concatenate(([0.0], bound)))
 
@@ -104,43 +110,17 @@ class TruncatedExtremalNorm:
 
 
 def build_norm(a, c: float, m: int, grid_q: int = 2) -> TruncatedExtremalNorm:
-    """Construct the evaluator, cross-checking c against a certified upper bound.
-
-    A cheap bounds run (depth <= 4) supplies the reference; when c fails
-    to exceed it a warning is emitted and the flag recorded, since the
-    norm can then no longer witness ``||Ax|| <= c ||x||``.
-    """
-    mat = as_matrix(a)
-    if not 0 < c < math.inf:  # NaN and infinities fail too
-        raise ValueError(f"scale c must be positive and finite, got {c!r}")
-    if m < 0:
-        raise ValueError("truncation depth m must be nonnegative")
-    letters = len(_search_setup(mat, grid_q, True, m)[1])
-
-    cross_depth = 1
-    while cross_depth < 4 and letters ** (cross_depth + 1) <= 10**6:
-        cross_depth += 1
-    report = mu_bounds(mat, max_depth=cross_depth, grid_q=grid_q)
-    certified = report.upper
-    if report.upper_heuristic:
-        s, e = _normalized(mat)
-        certified = _abs_radius_cap(s) * 2.0**e
-    below = c <= certified
-    if below:
+    """Construct the evaluator, warning when c does not exceed its
+    ``certified_upper``: the norm can then no longer witness ``||Ax|| <= c ||x||``."""
+    norm = TruncatedExtremalNorm(as_matrix(a), float(c), int(m), int(grid_q))
+    if norm.c_below_certified_upper:
         warnings.warn(
             f"scale c = {c} does not exceed the certified upper bound "
-            f"{certified:.12g} of mu(A); the truncated norm cannot certify "
+            f"{norm.certified_upper:.12g} of mu(A); the truncated norm cannot certify "
             f"a contraction at this scale",
             stacklevel=2,
         )
-    return TruncatedExtremalNorm(
-        matrix=mat,
-        c=float(c),
-        m=int(m),
-        grid_q=int(grid_q),
-        c_below_certified_upper=below,
-        certified_upper=float(certified),
-    )
+    return norm
 
 
 def _eval_levels(norm: TruncatedExtremalNorm, x, depth):
@@ -151,12 +131,11 @@ def _eval_levels(norm: TruncatedExtremalNorm, x, depth):
     level = (x * 2.0**-f)[None, None, :]
     best = float(np.linalg.norm(level[0, 0]))
     norms, running, scale = np.array([best]), [best], 1.0
-    c = norm.c * 2.0**-_exponent(norm.matrix.arr)
     for j in range(1, depth + 1):
         level = level[~(scale * norms * (norm._subtree[depth - j + 1] * (1 + 1e-9)) <= best)]
         if not len(level):
             break
-        scale /= c
+        scale /= norm._c
         level = _extend(level, norm._factors)
         norms = np.linalg.norm(level[:, 0], axis=1)
         best = max(best, scale * float(norms.max()))

@@ -319,6 +319,18 @@ class TestMuBounds:
         with pytest.raises(ValueError, match="level"):
             GrowthQuery(eps=None, m=3, level=bad)
 
+    @pytest.mark.parametrize("threads", [-4, 0, 2.5])
+    def test_thread_count_rejected(self, threads):
+        # Checked up front, not when a level first outgrows one chunk.
+        with pytest.raises(ValueError, match="threads"):
+            mu_bounds(HADAMARD, max_depth=2, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            mu_lower_bound(HADAMARD, max_depth=2, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            mu_upper_bound(HADAMARD, max_depth=2, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            check_growth_condition(HADAMARD, GrowthQuery(eps=0.1, m=3), threads=threads)
+
 
 class TestGrowthCondition:
     def test_sharp_growing_ratio_four(self):

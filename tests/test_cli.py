@@ -320,3 +320,11 @@ class TestFlags:
             main(argv)
         assert exc.value.code == EXIT_INPUT_ERROR
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["mu", "--threads", "-3"], ["growth", "--eps", "0.1", "--threads", "-1"]])
+    def test_negative_threads_exit_2(self, capsys, hadamard_file, argv):
+        code = main(argv[:1] + [hadamard_file] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--threads" in captured.err

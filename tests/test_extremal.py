@@ -7,7 +7,9 @@ import pytest
 
 from absnorm import (
     GrowthQuery,
+    TruncatedExtremalNorm,
     WeightedLpNorm,
+    as_matrix,
     build_norm,
     check_growth_condition,
     complexify_gap_search,
@@ -56,6 +58,8 @@ class TestBuild:
     def test_rejects_non_finite_or_nonpositive_scale(self, c):
         with pytest.raises(ValueError, match="positive and finite"):
             build_norm(HADAMARD, c=c, m=3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            TruncatedExtremalNorm(as_matrix(HADAMARD), c, 3, 2)
 
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
@@ -127,6 +131,53 @@ class TestBuild:
             assert norm._subtree[k] >= best * (1 - 1e-12)
         assert norm._subtree[0] == 0.0
         assert len(norm._subtree) == m + 2
+
+
+class TestCertifiedUpper:
+    def test_derived_from_the_evaluator(self):
+        # mu(SHARP) = 2 = ||SHARP||_2, however the evaluator is made.
+        direct = TruncatedExtremalNorm(as_matrix(SHARP), 1.0, 2, 2)
+        replaced = dataclasses.replace(build_norm(SHARP, c=2.5, m=2), c=1.0)
+        for norm in (direct, replaced):
+            assert norm.c_below_certified_upper
+            assert norm.certified_upper == 2
+
+    @pytest.mark.parametrize("field", ["certified_upper", "c_below_certified_upper"])
+    def test_not_settable(self, field):
+        with pytest.raises(TypeError):
+            TruncatedExtremalNorm(as_matrix(SHARP), 2.5, 2, 2, **{field: 3.0})
+
+    def test_build_walks_once(self, monkeypatch):
+        # The certificate comes from the evaluator's own level maxima: no
+        # sign-equivalence search and no eigensolve.
+        import absnorm.bounds as bounds_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_norm ran a bounds search")
+
+        monkeypatch.setattr(bounds_mod, "sign_equivalent_to_abs", refuse)
+        monkeypatch.setattr(bounds_mod, "_batch_radii", refuse)
+        rng = np.random.default_rng(36)
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for a, q in [(SHARP, 2), (HADAMARD, 2), (rng.standard_normal((4, 4)), 2), (z, 4)]:
+            build_norm(a, c=10.0, m=3, grid_q=q)
+
+    def test_never_looser_than_bounds_search(self):
+        # The depth-4 mu_bounds upper (the cap where it is heuristic) is the
+        # reference; the cap's 1e-10 margin may replace the Perron shortcut.
+        rng = np.random.default_rng(37)
+        inputs = [(rng.standard_normal((n, n)), 2) for n in (2, 3, 4) for _ in range(4)]
+        inputs += [
+            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 4)
+            for n in (2, 3)
+            for _ in range(3)
+        ]
+        for i, (a, q) in enumerate(inputs):
+            reference = certified_upper(a, q)
+            slack = 1e-10 * 2.0 ** np.frexp(np.abs(a).max())[1]
+            for m in (0, 1, 2, 3, 6):
+                norm = build_norm(a, c=1.05 * reference, m=m, grid_q=q)
+                assert norm.certified_upper <= reference + slack, (i, m)
 
 
 class TestEval:

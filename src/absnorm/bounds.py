@@ -25,6 +25,12 @@ The upper side is the best level maximum, min over k of M_k^(1/k) with
 M_k the largest ||P|| on level k, read from the interiors that can attain it.
 ``prune_delta`` is accepted for compatibility and has no effect.
 
+The growth sequence and the extremal norm need only the level maxima, so
+their walk extends a prefix P at depth k only while ||P|| M_r can still
+reach a known lower bound on M_{k+r} (Gripenberg's submultiplicative cut,
+unscaled); the maxima and their maximizers are the full tree's.  The bounds
+walk keeps the whole tree, as its lower side ties words at every level.
+
 All searches, and the shortcut's rho(|A|), run on 2^-e A with 2^e just
 above max|a_ij| and scale back exactly, so products at scales like 1e-200
 or 1e100 stay in range and the Perron tolerance acts relative to the scale.
@@ -70,6 +76,9 @@ _NODE_BUDGET = 10**8
 _CHUNK = 1 << 16
 # Terminal products per eigensolve block of the lower walk.
 _BLOCK = 4096
+# Interiors per level of the beam whose norms bound the level maxima from
+# below in ``_maxima_levels``.
+_BEAM = 8
 # Two values within this relative slack are treated as a tie, resolved to
 # the lexicographically earlier word.
 _TIE_REL = 1e-12
@@ -147,10 +156,21 @@ def _search_setup(m, grid_q, quotient, depth=0):
     return q, exponents, phases, arr, phases[:, :, None] * arr[None, :, :]
 
 
-def _check_search_args(max_depth, prune_delta=0.0, threads=1):
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
+def _is_count(value, least):
+    """Whether value is an int or numpy integer, not a bool, of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def _check_grid_q(grid_q):
+    if not _is_count(grid_q, 2) or grid_q % 2:
+        raise ValueError(f"grid order must be even and >= 2, got {grid_q!r}")
+
+
+def _check_search_args(max_depth, grid_q, prune_delta=0.0, threads=1):
+    if not _is_count(max_depth, 1):
+        raise ValueError(f"depth must be an integer of at least 1, got {max_depth!r}")
+    _check_grid_q(grid_q)
+    if not _is_count(threads, 1):
         raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
     if not 0 <= prune_delta < math.inf:  # NaN and infinities fail too
         raise ValueError(f"prune_delta must be nonnegative and finite, got {prune_delta!r}")
@@ -194,7 +214,8 @@ class _LevelNorms:
 
     def norms(self, idx):
         todo = idx[np.isnan(self.exact[idx])]
-        self.exact[todo] = _batch_norms(self.interior[todo], self.threads)
+        if todo.size:  # repeated decisions find every norm cached
+            self.exact[todo] = _batch_norms(self.interior[todo], self.threads)
         return self.exact[idx]
 
     def where(self, bound):
@@ -366,13 +387,48 @@ def _upper_bounds(s, q, best):
     return reported, reported if q is None or s.n == 1 else cap
 
 
-def _levels(arr, da, max_depth, threads):
-    """``(depth, _LevelNorms)`` of each level of the interior tree."""
+def _levels(arr, da, max_depth, threads, select=None):
+    """``(depth, _LevelNorms)`` of each level of the interior tree; only the rows
+    ``select(depth, level)`` of a level are extended when ``select`` is given."""
     interior = arr[None, :, :]
     for depth in range(1, max_depth + 1):
         if depth > 1:
             interior = _extend(interior, da, threads)
-        yield depth, _LevelNorms(interior, depth, threads)
+        level = _LevelNorms(interior, depth, threads)
+        yield depth, level
+        if select is not None and depth < max_depth:
+            interior = interior[select(depth, level)]
+
+
+def _maxima_levels(arr, da, max_depth, threads):
+    """``_levels`` of the subtree that can attain a level maximum M_k.
+
+    A descendant P Q of a level-k interior P at level k + r has Q = D A ... D A
+    (r factors) and ||P Q|| <= ||P|| ||A D ... D A|| <= ||P|| M_r.  So P is
+    extended only if hi(P) U_r (1 + 1e-9) >= L_{k+r} for some r, where U_r is
+    M_r once level r is done and min over a + b = r of U_a U_b before, and
+    L_j <= M_j is the norm of one real product: the interior of largest hi
+    on level j of a beam that extends the ``_BEAM`` interiors of largest hi
+    of each level.  The margin covers rounding; an L_j that is zero or
+    subnormal prunes nothing.  Every M_k and its maximizers are the full
+    tree's (Gripenberg, *LAA* 234, 1996, with unscaled norms).
+    """
+    beam = _levels(arr, da, max_depth, threads, lambda _, lv: np.argsort(-lv.hi)[:_BEAM])
+    lows = [float(lv.norms(np.argmax(lv.hi, keepdims=True))[0]) for _, lv in beam]
+    lows = [low if low >= np.finfo(float).tiny else 0.0 for low in lows]
+    ups = []
+
+    def select(depth, level):
+        # U_1..U_depth are exact maxima; deeper U_r are recomputed from them.
+        ups[depth - 1 :] = [float(level.top().max())]
+        for r in range(depth + 1, max_depth - depth + 1):
+            ups.append(min(ups[a - 1] * ups[r - a - 1] for a in range(1, r)))
+        keep = np.zeros(len(level.hi), dtype=bool)
+        for r in range(1, max_depth - depth + 1):
+            keep |= level.hi * (ups[r - 1] * (1 + 1e-9)) >= lows[depth + r - 1]
+        return keep
+
+    return _levels(arr, da, max_depth, threads, select)
 
 
 def _walk(m, max_depth, grid_q, threads, quotient):
@@ -421,7 +477,7 @@ def mu_lower_bound(
         The bound and a word attaining it.
     """
     m = as_matrix(a)
-    _check_search_args(max_depth, threads=threads)
+    _check_search_args(max_depth, grid_q, threads=threads)
     s, e = _normalized(m)
     value, word, _, _ = _walk(s, max_depth, grid_q, threads, quotient)
     return value * 2.0**e, word
@@ -443,7 +499,7 @@ def mu_upper_bound(
     bounds the grid-restricted supremum (callers flag it heuristic).
     """
     m = as_matrix(a)
-    _check_search_args(max_depth, prune_delta, threads)
+    _check_search_args(max_depth, grid_q, prune_delta, threads)
     s, e = _normalized(m)
     return _walk(s, max_depth, grid_q, threads, quotient)[2] * 2.0**e
 
@@ -469,7 +525,7 @@ def mu_bounds(
     validated but has no effect.
     """
     m = as_matrix(a)
-    _check_search_args(max_depth, prune_delta, threads)
+    _check_search_args(max_depth, grid_q, prune_delta, threads)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     report_q = grid_q if m.field == COMPLEX or grid_q > 2 else None
@@ -537,12 +593,16 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
       whose M_k^(1/k) exceeds c are tried, on the terminal products P D of the
       interiors attaining M_k; the first witness ends the search.
 
+    The levels come from a walk that extends only the prefixes that can still
+    attain a deeper level maximum (``_maxima_levels``), so every M_k and every
+    set of maximizers, and with them the report, are those of the full tree.
+
     Both or neither gives ``inconclusive``, and so does m < 2.  A threshold so
     far from the matrix scale that c^k leaves the normal float range for some
     k <= m raises ValueError.
     """
     m = as_matrix(a)
-    _check_search_args(query.m, threads=threads)
+    _check_search_args(query.m, grid_q, threads=threads)
     c = query.level if query.level is not None else spectral_radius(m) + query.eps
     s, e = _normalized(m)
     c_s = c * 2.0**-e
@@ -554,7 +614,7 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
         )
     q, _, phases, arr, da = _search_setup(s, grid_q, True, query.m)
     best, growing, g = math.inf, False, []
-    for k, level in _levels(arr, da, query.m, threads):
+    for k, level in _maxima_levels(arr, da, query.m, threads):
         top = float(level.top().max())
         g.append(top / c_s**k)
         root = top ** (1.0 / k)

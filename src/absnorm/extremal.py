@@ -15,7 +15,9 @@ Evaluation does not extend a product y at level j once c^-j ||y|| G_{m-j}
 (1 + 1e-9) cannot reach the best term, where G_r >= c^-k ||A D ... D A||_2
 for every word of length k <= r: the value is the full tree's, bit for bit.
 The exact level maxima behind G_r also give the evaluator's certified upper
-bound on mu(A), so building a norm walks the word tree once.
+bound on mu(A), so building a norm walks the word tree once, and only the
+prefixes of that tree that can still attain a level maximum
+(``bounds._maxima_levels``).
 """
 
 import math
@@ -24,7 +26,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _CHUNK, _exponent, _extend, _levels, _normalized, _search_setup, _upper_bounds
+from .bounds import (
+    _CHUNK,
+    _check_grid_q,
+    _exponent,
+    _extend,
+    _is_count,
+    _maxima_levels,
+    _normalized,
+    _search_setup,
+    _upper_bounds,
+)
 from .errors import DimensionError
 from .matrices import (
     COMPLEX,
@@ -78,8 +90,9 @@ class TruncatedExtremalNorm:
     def __post_init__(self):
         if not 0 < self.c < math.inf:  # NaN and infinities fail too
             raise ValueError(f"scale c must be positive and finite, got {self.c!r}")
-        if self.m < 0:
-            raise ValueError("truncation depth m must be nonnegative")
+        if not _is_count(self.m, 0):
+            raise ValueError(f"truncation depth m must be a nonnegative integer, got {self.m!r}")
+        _check_grid_q(self.grid_q)
         s, e = _normalized(self.matrix)
         q, _, _, arr, factors = _search_setup(Matrix(s.field, s.arr.T), self.grid_q, True, self.m)
         # Exact maxima M_k of the tree of A^T (the transposes of A's interiors)
@@ -87,7 +100,7 @@ class TruncatedExtremalNorm:
         # certified upper bound; deeper, M_{a+b} <= M_a M_b.
         depth = max(self.m + 1, 4)
         exact = next(k for k in range(1, depth + 1) if k == depth or len(factors) ** k > _CHUNK)
-        top = [float(lv.top().max()) for _, lv in _levels(arr, factors, exact, 1)]
+        top = [float(lv.top().max()) for _, lv in _maxima_levels(arr, factors, exact, 1)]
         best = min(t ** (1.0 / k) for k, t in enumerate(top, start=1))
         certified = _upper_bounds(s, q, best)[1] * 2.0**e
         for r in range(exact + 1, self.m + 2):
@@ -112,7 +125,7 @@ class TruncatedExtremalNorm:
 def build_norm(a, c: float, m: int, grid_q: int = 2) -> TruncatedExtremalNorm:
     """Construct the evaluator, warning when c does not exceed its
     ``certified_upper``: the norm can then no longer witness ``||Ax|| <= c ||x||``."""
-    norm = TruncatedExtremalNorm(as_matrix(a), float(c), int(m), int(grid_q))
+    norm = TruncatedExtremalNorm(as_matrix(a), float(c), m, grid_q)
     if norm.c_below_certified_upper:
         warnings.warn(
             f"scale c = {c} does not exceed the certified upper bound "

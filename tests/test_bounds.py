@@ -306,6 +306,31 @@ class TestMuBounds:
         with pytest.raises(ValueError):
             mu_upper_bound(SHARP, max_depth=2, prune_delta=-1.0)
 
+    @pytest.mark.parametrize("depth", [2.5, 2.0, True])
+    def test_non_integer_depth_rejected(self, depth):
+        # Not truncated, and not a TypeError from range.
+        for search in (mu_bounds, mu_lower_bound, mu_upper_bound):
+            with pytest.raises(ValueError, match="depth must be an integer"):
+                search(HADAMARD, max_depth=depth)
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            check_growth_condition(HADAMARD, GrowthQuery(eps=0.1, m=depth))
+
+    def test_numpy_integer_depth_accepted(self):
+        a = np.random.default_rng(12).standard_normal((3, 3))
+        assert mu_bounds(a, max_depth=np.int64(3)) == mu_bounds(a, max_depth=3)
+        query = GrowthQuery(eps=0.1, m=np.int32(3))
+        assert check_growth_condition(a, query) == check_growth_condition(a, GrowthQuery(eps=0.1, m=3))
+
+    @pytest.mark.parametrize("grid_q", [1, 0, -4, 3, 4.0, True])
+    def test_grid_order_rejected(self, grid_q):
+        # Also where sign letters or a shortcut would never read the grid.
+        for a in (HADAMARD, np.eye(2)):
+            for search in (mu_bounds, mu_lower_bound, mu_upper_bound):
+                with pytest.raises(ValueError, match="grid order"):
+                    search(a, max_depth=2, grid_q=grid_q)
+            with pytest.raises(ValueError, match="grid order"):
+                check_growth_condition(a, GrowthQuery(eps=0.1, m=2), grid_q=grid_q)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_parameters_rejected(self, bad):
         with pytest.raises(ValueError, match="prune_delta"):
@@ -495,6 +520,166 @@ class TestGrowthCondition:
         interiors = sum(8**k for k in range(7))
         assert report.verdict == "growing"
         assert 0 < sum(taken) < 0.01 * interiors
+
+
+def on_full_tree(module, fn):
+    """``fn()`` with ``module._maxima_levels`` replaced by the unpruned ``bounds._levels``."""
+    import absnorm.bounds as bounds_mod
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_maxima_levels", bounds_mod._levels)
+        return fn()
+
+
+def _maxima_cases():
+    """(A, grid_q, m): seeded real n = 2..5 and complex q = 4 inputs at depths
+    1..8, and degenerate ones."""
+    rng = np.random.default_rng(60)
+    cases = [
+        (f"real{n}m{m}", rng.standard_normal((n, n)), 2, m)
+        for n, depths in ((2, (1, 5, 8)), (3, (2, 4, 7)), (4, (3, 6)), (5, (2, 4)))
+        for m in depths
+    ]
+    cases += [
+        (f"complex{n}m{m}", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 4, m)
+        for n, m in ((2, 1), (2, 6), (3, 3), (3, 4))
+    ]
+    b = rng.standard_normal((3, 3))
+    cases += [
+        ("orthogonal", np.linalg.qr(rng.standard_normal((4, 4)))[0], 2, 5),
+        ("zero", np.zeros((3, 3)), 2, 4),
+        ("rank1", np.outer(rng.standard_normal(3), rng.standard_normal(3)), 2, 6),
+        ("nilpotent", np.triu(rng.standard_normal((4, 4)), 1), 2, 5),
+        ("1x1", np.array([[-1.5]]), 2, 6),
+        ("tiny", 1e-200 * b, 2, 6),
+        ("huge", 1e100 * b, 2, 6),
+    ]
+    return [pytest.param(a, q, m, id=name) for name, a, q, m in cases]
+
+
+class TestMaximaWalk:
+    """Growth and the extremal norm walk only the prefixes that can still attain
+    a level maximum; every maximum, maximizer set and report is the full tree's."""
+
+    @pytest.mark.parametrize("a, grid_q, m", _maxima_cases())
+    def test_matches_full_tree(self, a, grid_q, m):
+        import absnorm.bounds as bounds_mod
+        import absnorm.extremal as extremal_mod
+        from absnorm import TruncatedExtremalNorm
+
+        s, _ = bounds_mod._normalized(as_matrix(a))
+        _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, True, m)
+        pruned = bounds_mod._maxima_levels(arr, da, m, 1)
+        for (k, got), (_, full) in zip(pruned, bounds_mod._levels(arr, da, m, 1)):
+            top = full.top().max()
+            assert got.top().max() == top, k
+            maxima = full.interior[full.exact == top]
+            assert np.array_equal(got.interior[got.exact == top], maxima), k
+
+        lower = mu_lower_bound(a, min(m, 4), grid_q=grid_q)[0] or 1.0  # 0 when nilpotent
+        for c in (0.9 * lower, 1.1 * lower, 2.0 * lower):
+            query = GrowthQuery(eps=None, m=m, level=c)
+            expected = on_full_tree(bounds_mod, lambda: check_growth_condition(a, query, grid_q))
+            for threads in (1, 2):
+                assert check_growth_condition(a, query, grid_q, threads) == expected, c
+            depth = min(m, 5)
+            norm = TruncatedExtremalNorm(as_matrix(a), c, depth, grid_q)
+            full = on_full_tree(
+                extremal_mod, lambda: TruncatedExtremalNorm(as_matrix(a), c, depth, grid_q)
+            )
+            assert norm.certified_upper == full.certified_upper, c
+            assert norm.c_below_certified_upper == full.c_below_certified_upper
+            assert np.array_equal(norm._subtree, full._subtree), c
+
+    @pytest.mark.parametrize("a, grid_q, m", _maxima_cases())
+    def test_keeps_every_prefix_that_can_reach_a_maximum(self, a, grid_q, m):
+        # With the full tree's maxima as both bounds, P must be extended when
+        # hi(P) M_r >= M_{k+r} for some r; the walk's rule may keep more.
+        import absnorm.bounds as bounds_mod
+
+        s, _ = bounds_mod._normalized(as_matrix(a))
+        _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, True, m)
+        tops = [lv.top().max() for _, lv in bounds_mod._levels(arr, da, m, 1)]
+        levels = [lv for _, lv in bounds_mod._maxima_levels(arr, da, m, 1)]
+        for k, (level, deeper) in enumerate(zip(levels, levels[1:]), start=1):
+            need = np.zeros(len(level.hi), dtype=bool)
+            for r in range(1, m - k + 1):
+                need |= level.hi * tops[r - 1] >= tops[k + r - 1]
+            # Row i's first child is interior[i] D_1 A; the kept rows' first
+            # children open each group of len(da) rows on the next level.
+            first = bounds_mod._extend(level.interior, da[:1])
+            kept = {row.tobytes() for row in deeper.interior[:: len(da)]}
+            assert all(first[i].tobytes() in kept for i in np.flatnonzero(need)), k
+
+    def test_verdicts_and_sequences_match_full_tree(self):
+        # Thresholds on both sides of mu, where growth eigensolves the maximizers.
+        import absnorm.bounds as bounds_mod
+
+        rng = np.random.default_rng(61)
+        for i in range(60):
+            n = 2 + i % 3
+            a = rng.standard_normal((n, n))
+            m = (8, 6, 5)[i % 3]
+            lower = mu_lower_bound(a, 4)[0]
+            upper = mu_upper_bound(a, m)
+            for c, verdict in ((0.95 * lower, "growing"), (1.01 * upper, "bounded")):
+                query = GrowthQuery(eps=None, m=m, level=c)
+                report = check_growth_condition(a, query)
+                assert report == on_full_tree(bounds_mod, lambda: check_growth_condition(a, query))
+                assert report.verdict == verdict, (i, c)
+
+    def test_threads_across_chunks(self, monkeypatch):
+        # Chunks of 7 rows pool every extension of the walk and of its beam.
+        import absnorm.bounds as bounds_mod
+
+        a = np.random.default_rng(42).standard_normal((4, 4))
+        query = GrowthQuery(eps=0.1, m=6)
+        baseline = check_growth_condition(a, query)
+        monkeypatch.setattr(bounds_mod, "_CHUNK", 7)
+        for threads in (1, 2):
+            assert check_growth_condition(a, query, threads=threads) == baseline
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        import absnorm.bounds as bounds_mod
+
+        rows = []
+        extend = bounds_mod._extend
+
+        def counting(batch, factors, threads=1):
+            rows.append(len(batch) * len(factors))
+            return extend(batch, factors, threads)
+
+        monkeypatch.setattr(bounds_mod, "_extend", counting)
+        return rows
+
+    def test_growth_builds_few_interiors(self, monkeypatch):
+        # The full tree has 299,593 interiors; the walk and its beam build
+        # about 0.14% of them.
+        rows = self._count_rows(monkeypatch)
+        a = np.random.default_rng(42).standard_normal((4, 4))
+        report = check_growth_condition(a, GrowthQuery(eps=0.1, m=7))
+        interiors = sum(8**k for k in range(7))
+        assert report.verdict == "growing"
+        assert 0 < 1 + sum(rows) < 0.01 * interiors
+
+    @pytest.mark.parametrize("tiny, pruned", [(1e-100, True), (1e-105, False)])
+    def test_subnormal_level_prunes_nothing(self, monkeypatch, tiny, pruned):
+        # Near-nilpotent: only a_31 and a_32 are of order 1.  At 1e-105 the
+        # depth-7 maximum is subnormal (about 2.5e-317), where a relative
+        # margin does not hold, so every interior is extended; at 1e-100 it
+        # is about 2.5e-302 and the walk prunes.
+        import absnorm.bounds as bounds_mod
+
+        a = np.array([[-0.5, -1.1, 0.7], [1.1, 0.2, 1.3], [1.2, 0.4, 0.1]])
+        a[:2] *= tiny
+        a[2, 2] *= tiny
+        rows = self._count_rows(monkeypatch)
+        query = GrowthQuery(eps=None, m=7, level=1.0)
+        report = check_growth_condition(a, query)
+        interiors = sum(4**k for k in range(1, 7))
+        assert (sum(rows) < interiors) == pruned
+        assert report == on_full_tree(bounds_mod, lambda: check_growth_condition(a, query))
 
 
 def word_loop_lower(a, max_depth, grid_q=None, quotient=True):

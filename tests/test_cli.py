@@ -124,6 +124,18 @@ class TestMu:
         code, _ = run(capsys, ["mu", hadamard_file, "--grid-q", "3"])
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("command", ["mu", "growth"])
+    @pytest.mark.parametrize("grid_q", ["1", "0", "-4"])
+    def test_grid_order_below_two_exits_2(self, capsys, hadamard_file, sharp_file, command, grid_q):
+        # Also on the sign-equivalent input, whose shortcut never reads the grid.
+        for path in (hadamard_file, sharp_file):
+            extra = ["--eps", "0.1"] if command == "growth" else []
+            code = main([command, path, "--grid-q", grid_q] + extra)
+            captured = capsys.readouterr()
+            assert code == EXIT_INPUT_ERROR
+            assert captured.out == ""
+            assert captured.err.startswith("error: grid order must be even and >= 2")
+
     def test_round_trip_through_engine(self, sharp_file):
         report = mu_bounds([[1, 1], [-1, -1]], max_depth=1)
         data = bounds_report_to_json(report)

@@ -65,6 +65,26 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_norm(SHARP, c=2.5, m=-1)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True])
+    def test_rejects_non_integer_depth(self, m):
+        # build_norm used to truncate 2.5 to 2; the constructor raised TypeError.
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            build_norm(np.eye(2), c=2.0, m=m)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            TruncatedExtremalNorm(as_matrix(np.eye(2)), 2.0, m, 2)
+
+    def test_numpy_integer_depth_accepted(self):
+        norm = build_norm(SHARP, c=2.5, m=np.int64(3), grid_q=np.int32(2))
+        assert norm == build_norm(SHARP, c=2.5, m=3)
+
+    @pytest.mark.parametrize("grid_q", [1, 0, -4, 3, 4.0, True])
+    def test_rejects_grid_order(self, grid_q):
+        for a in (SHARP, np.eye(2)):
+            with pytest.raises(ValueError, match="grid order"):
+                build_norm(a, c=2.5, m=2, grid_q=grid_q)
+            with pytest.raises(ValueError, match="grid order"):
+                TruncatedExtremalNorm(as_matrix(a), 2.5, 2, grid_q)
+
     def test_warns_when_scale_not_above_mu(self):
         with pytest.warns(UserWarning):
             norm = build_norm(SHARP, c=1.0, m=2)

@@ -25,11 +25,11 @@ The upper side is the best level maximum, min over k of M_k^(1/k) with
 M_k the largest ||P|| on level k, read from the interiors that can attain it.
 ``prune_delta`` is accepted for compatibility and has no effect.
 
-The growth sequence and the extremal norm need only the level maxima, so
-their walk extends a prefix P at depth k only while ||P|| M_r can still
-reach a known lower bound on M_{k+r} (Gripenberg's submultiplicative cut,
-unscaled); the maxima and their maximizers are the full tree's.  The bounds
-walk keeps the whole tree, as its lower side ties words at every level.
+The walk extends a prefix P at depth k only while ||P|| M_r can reach a
+floor below M_{k+r} (Gripenberg's cut, unscaled), so every M_k is the full
+tree's.  In ``mu_bounds`` the floor is bar^j <= best^j <= M_j: no word of a
+dropped prefix reaches the lower side's bar.  Growth and the extremal norm
+take theirs from a narrow beam.
 
 All searches, and the shortcut's rho(|A|), run on 2^-e A with 2^e just
 above max|a_ij| and scale back exactly, so products at scales like 1e-200
@@ -51,6 +51,8 @@ from .diagonals import (
     DiagonalWord,
     UnimodularDiagonal,
     _alphabet,
+    _check_grid_q,
+    _is_count,
     identity_diagonal,
     word_from_json,
     word_to_json,
@@ -76,9 +78,9 @@ _NODE_BUDGET = 10**8
 _CHUNK = 1 << 16
 # Terminal products per eigensolve block of the lower walk.
 _BLOCK = 4096
-# Interiors per level of the beam whose norms bound the level maxima from
-# below in ``_maxima_levels``.
+# Interiors per level of the beam of ``_beam_floor``.
 _BEAM = 8
+_TINY = np.finfo(float).tiny
 # Two values within this relative slack are treated as a tie, resolved to
 # the lexicographically earlier word.
 _TIE_REL = 1e-12
@@ -137,7 +139,7 @@ class GrowthReport:
         object.__setattr__(self, "sequence", tuple(float(g) for g in self.sequence))
 
 
-def _search_setup(m, grid_q, quotient, depth=0):
+def _search_setup(m, grid_q, depth=0):
     """Alphabet, matrix in the search dtype and interior factors of a walk.
 
     Returns ``(q, exponents, phases, arr, da)`` with da the factors D·A and q
@@ -146,7 +148,7 @@ def _search_setup(m, grid_q, quotient, depth=0):
     """
     complex_search = m.field == COMPLEX or grid_q > 2
     q = grid_q if complex_search else None
-    exponents, phases = _alphabet(m.n, q, quotient)
+    exponents, phases = _alphabet(m.n, q, True)
     if len(phases) ** depth > _NODE_BUDGET:
         raise CapacityError(
             f"diagonal-word tree of {len(phases)}^{depth} nodes exceeds "
@@ -154,16 +156,6 @@ def _search_setup(m, grid_q, quotient, depth=0):
         )
     arr = m.arr.astype(np.complex128 if complex_search else np.float64)
     return q, exponents, phases, arr, phases[:, :, None] * arr[None, :, :]
-
-
-def _is_count(value, least):
-    """Whether value is an int or numpy integer, not a bool, of at least ``least``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-
-
-def _check_grid_q(grid_q):
-    if not _is_count(grid_q, 2) or grid_q % 2:
-        raise ValueError(f"grid order must be even and >= 2, got {grid_q!r}")
 
 
 def _check_search_args(max_depth, grid_q, prune_delta=0.0, threads=1):
@@ -387,69 +379,72 @@ def _upper_bounds(s, q, best):
     return reported, reported if q is None or s.n == 1 else cap
 
 
-def _levels(arr, da, max_depth, threads, select=None):
-    """``(depth, _LevelNorms)`` of each level of the interior tree; only the rows
-    ``select(depth, level)`` of a level are extended when ``select`` is given."""
-    interior = arr[None, :, :]
+def _levels(arr, da, max_depth, threads, floor):
+    """``(depth, _LevelNorms, rows)`` of each level of the interior tree that can
+    reach ``floor``; row i of a level extends row ``rows[i // len(da)]`` of the
+    previous one by ``da[i % len(da)]`` (rows is None at depth 1).
+
+    A descendant P Q of a level-k interior P at level k + r has Q = D A ... D A
+    (r factors) and ||P Q|| <= ||P|| ||A D ... D A|| <= ||P|| M_r.  So P is
+    extended only if hi(P) U_r (1 + 1e-9) >= floor(k + r) for some r, where U_r
+    is M_r once level r is done and min over a + b = r of U_a U_b before.  The
+    margin covers rounding; a zero or subnormal floor prunes nothing.  ``floor``
+    is read once the caller is done with level k.  Where floor(j) <= M_j, every
+    M_k and its maximizers are the full tree's (Gripenberg, *LAA* 234, 1996,
+    unscaled); floor 0 walks the full tree.
+    """
+    interior, rows, ups = arr[None, :, :], None, []
     for depth in range(1, max_depth + 1):
         if depth > 1:
             interior = _extend(interior, da, threads)
         level = _LevelNorms(interior, depth, threads)
-        yield depth, level
-        if select is not None and depth < max_depth:
-            interior = interior[select(depth, level)]
+        yield depth, level, rows
+        if depth < max_depth:
+            # U_1..U_depth are exact maxima; deeper U_r are recomputed from them.
+            ups[depth - 1 :] = [float(level.top().max())]
+            for r in range(depth + 1, max_depth - depth + 1):
+                ups.append(min(ups[a - 1] * ups[r - a - 1] for a in range(1, r)))
+            keep = np.zeros(len(level.hi), dtype=bool)
+            for r in range(1, max_depth - depth + 1):
+                low = floor(depth + r)
+                keep |= level.hi * (ups[r - 1] * (1 + 1e-9)) >= (low if low >= _TINY else 0.0)
+            rows = np.flatnonzero(keep)
+            interior = interior[rows]
 
 
-def _maxima_levels(arr, da, max_depth, threads):
-    """``_levels`` of the subtree that can attain a level maximum M_k.
-
-    A descendant P Q of a level-k interior P at level k + r has Q = D A ... D A
-    (r factors) and ||P Q|| <= ||P|| ||A D ... D A|| <= ||P|| M_r.  So P is
-    extended only if hi(P) U_r (1 + 1e-9) >= L_{k+r} for some r, where U_r is
-    M_r once level r is done and min over a + b = r of U_a U_b before, and
-    L_j <= M_j is the norm of one real product: the interior of largest hi
-    on level j of a beam that extends the ``_BEAM`` interiors of largest hi
-    of each level.  The margin covers rounding; an L_j that is zero or
-    subnormal prunes nothing.  Every M_k and its maximizers are the full
-    tree's (Gripenberg, *LAA* 234, 1996, with unscaled norms).
-    """
-    beam = _levels(arr, da, max_depth, threads, lambda _, lv: np.argsort(-lv.hi)[:_BEAM])
-    lows = [float(lv.norms(np.argmax(lv.hi, keepdims=True))[0]) for _, lv in beam]
-    lows = [low if low >= np.finfo(float).tiny else 0.0 for low in lows]
-    ups = []
-
-    def select(depth, level):
-        # U_1..U_depth are exact maxima; deeper U_r are recomputed from them.
-        ups[depth - 1 :] = [float(level.top().max())]
-        for r in range(depth + 1, max_depth - depth + 1):
-            ups.append(min(ups[a - 1] * ups[r - a - 1] for a in range(1, r)))
-        keep = np.zeros(len(level.hi), dtype=bool)
-        for r in range(1, max_depth - depth + 1):
-            keep |= level.hi * (ups[r - 1] * (1 + 1e-9)) >= lows[depth + r - 1]
-        return keep
-
-    return _levels(arr, da, max_depth, threads, select)
+def _beam_floor(arr, da, max_depth, threads):
+    """A floor for ``_levels`` with floor(j) <= M_j: the norm L_j of the interior
+    of largest hi on level j of a beam that extends the ``_BEAM`` interiors of
+    largest hi of each level."""
+    lows, interior = [], arr[None, :, :]
+    for depth in range(1, max_depth + 1):
+        level = _LevelNorms(interior, depth, threads)
+        lows.append(float(level.norms(np.argmax(level.hi, keepdims=True))[0]))
+        interior = _extend(interior[np.argsort(-level.hi)[:_BEAM]], da, threads)
+    return lambda j: lows[j - 1]
 
 
-def _walk(m, max_depth, grid_q, threads, quotient):
+def _walk(m, max_depth, grid_q, threads):
     """``(lower, witness, upper, nodes)`` of one walk; see the module docstring."""
-    q, exponents, phases, arr, da = _search_setup(m, grid_q, quotient, max_depth)
+    q, exponents, phases, arr, da = _search_setup(m, grid_q, max_depth)
     size = len(phases)
-    best, best_flat, best_depth = -np.inf, 0, 1
-    upper, nodes = np.inf, 0
-    for depth, level in _levels(arr, da, max_depth, threads):
+    best, bar, best_flat, best_depth = -np.inf, -np.inf, 0, 1
+    upper, nodes, words = np.inf, 0, np.zeros(1, dtype=np.int64)
+    for depth, level, rows in _levels(arr, da, max_depth, threads, lambda j: max(bar, 0.0) ** j):
+        if depth > 1:  # the full-tree indices of the level's interiors
+            words = (words[rows][:, None] * size + np.arange(size)).ravel()
         # Lower: rho(P D) <= ||P D|| = ||P||, so only the prefixes whose norm
         # reaches the best value within twice the tie slack are extended by a
         # letter, and only the terminals whose square bound reaches it are
         # eigensolved.  A word below that bar cannot tie with an improvement.
         nodes += size**depth
-        bar = best - 2 * _TIE_REL * max(1.0, abs(best))
         cand = np.flatnonzero(level.where(bar))
         if cand.size:
             first, value = _first_within_tie(_gated_radii(level, cand, phases, bar, threads))
             if _improves(value, best):
                 best, best_depth = value, depth
-                best_flat = int(cand[first // size]) * size + first % size
+                best_flat = int(words[cand[first // size]]) * size + first % size
+                bar = best - 2 * _TIE_REL * max(1.0, abs(best))
         # Upper: M_k^(1/k) >= mu(A) at every depth k.
         upper = min(upper, float((level.top() ** (1.0 / depth)).max()))
     digits = np.unravel_index(best_flat, (size,) * best_depth)
@@ -457,13 +452,7 @@ def _walk(m, max_depth, grid_q, threads, quotient):
     return float(best), DiagonalWord(tuple(letters)), upper, nodes
 
 
-def mu_lower_bound(
-    a,
-    max_depth: int,
-    grid_q: int = 2,
-    threads: int = 1,
-    quotient: bool = True,
-):
+def mu_lower_bound(a, max_depth: int, grid_q: int = 2, threads: int = 1):
     """Best certified lower bound from spectral radii of diagonal-word products.
 
     Exhaustively maximizes ``rho(A D_1 ... A D_k)^(1/k)`` over all words
@@ -479,7 +468,7 @@ def mu_lower_bound(
     m = as_matrix(a)
     _check_search_args(max_depth, grid_q, threads=threads)
     s, e = _normalized(m)
-    value, word, _, _ = _walk(s, max_depth, grid_q, threads, quotient)
+    value, word, _, _ = _walk(s, max_depth, grid_q, threads)
     return value * 2.0**e, word
 
 
@@ -489,7 +478,6 @@ def mu_upper_bound(
     grid_q: int = 2,
     prune_delta: float = 1e-3,
     threads: int = 1,
-    quotient: bool = True,
 ) -> float:
     """Certified upper bound from norms of diagonal-word products.
 
@@ -501,7 +489,7 @@ def mu_upper_bound(
     m = as_matrix(a)
     _check_search_args(max_depth, grid_q, prune_delta, threads)
     s, e = _normalized(m)
-    return _walk(s, max_depth, grid_q, threads, quotient)[2] * 2.0**e
+    return _walk(s, max_depth, grid_q, threads)[2] * 2.0**e
 
 
 def mu_bounds(
@@ -557,7 +545,7 @@ def mu_bounds(
                 upper_heuristic=False,
             )
 
-    lower, witness, best, nodes = _walk(s, max_depth, grid_q, threads, True)
+    lower, witness, best, nodes = _walk(s, max_depth, grid_q, threads)
     upper, certified = _upper_bounds(s, report_q, best)
     heuristic = upper < certified
     lower, upper = lower * 2.0**e, upper * 2.0**e
@@ -594,8 +582,8 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
       interiors attaining M_k; the first witness ends the search.
 
     The levels come from a walk that extends only the prefixes that can still
-    attain a deeper level maximum (``_maxima_levels``), so every M_k and every
-    set of maximizers, and with them the report, are those of the full tree.
+    attain a deeper level maximum (``_levels`` with ``_beam_floor``), so every
+    M_k and every set of maximizers, and with them the report, are the full tree's.
 
     Both or neither gives ``inconclusive``, and so does m < 2.  A threshold so
     far from the matrix scale that c^k leaves the normal float range for some
@@ -612,9 +600,9 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
             f"growth threshold {c!r} is too far from the matrix scale: c^k leaves "
             f"the float range for some k <= {query.m}"
         )
-    q, _, phases, arr, da = _search_setup(s, grid_q, True, query.m)
+    q, _, phases, arr, da = _search_setup(s, grid_q, query.m)
     best, growing, g = math.inf, False, []
-    for k, level in _maxima_levels(arr, da, query.m, threads):
+    for k, level, _ in _levels(arr, da, query.m, threads, _beam_floor(arr, da, query.m, threads)):
         top = float(level.top().max())
         g.append(top / c_s**k)
         root = top ** (1.0 / k)

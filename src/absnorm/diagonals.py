@@ -116,21 +116,30 @@ def identity_diagonal(n: int) -> UnimodularDiagonal:
     return _sign_letter(np.ones(n))
 
 
+def _is_count(value, least):
+    """Whether value is an int or numpy integer, not a bool, of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def _check_grid_q(grid_q):
+    if not _is_count(grid_q, 2) or grid_q % 2:
+        raise ValueError(f"grid order must be even and >= 2, got {grid_q!r}")
+
+
 def _alphabet(n: int, q: int | None, quotient: bool):
     """Integer-coded letters, lexicographic: ``(exponents, phases)`` of shape (L, n).
 
     ``q=None`` gives sign diagonals (float +-1 phases), an even q >= 2 the
     q-th-root grid (exact ``_root_of_unity`` phases); quotient fixes entry 0."""
-    if n < 1:
-        raise DimensionError("dimension must be at least 1")
+    if not _is_count(n, 1):
+        raise DimensionError(f"dimension must be an integer of at least 1, got {n!r}")
     if q is None:
         if n > _SIGN_ENUMERATION_MAX_N:
             raise CapacityError(f"sign enumeration capped at n <= {_SIGN_ENUMERATION_MAX_N}")
         base, roots = 2, np.array([1.0, -1.0])
     else:
-        if q < 2 or q % 2 != 0:
-            raise ValueError(f"grid order must be even and >= 2, got {q}")
-        if q ** max(n - 1, 1) > _PHASE_ENUMERATION_MAX:
+        _check_grid_q(q)
+        if int(q) ** max(n - 1, 1) > _PHASE_ENUMERATION_MAX:
             raise CapacityError(
                 f"phase enumeration q^(n-1) = {q}^{n - 1} exceeds {_PHASE_ENUMERATION_MAX}"
             )
@@ -159,6 +168,7 @@ def enumerate_phase_diagonals(n: int, q: int, quotient: bool = False) -> list[Un
     ``q`` must be even and at least 2 so the grid contains +-1.  The
     quotient mode fixes the first entry to 1, giving q**(n-1) members.
     """
+    _check_grid_q(q)  # q=None would give sign letters
     exponents, phases = _alphabet(n, q, quotient)
     return [UnimodularDiagonal(p, q=q, indices=e) for e, p in zip(exponents, phases)]
 

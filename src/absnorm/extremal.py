@@ -17,7 +17,7 @@ for every word of length k <= r: the value is the full tree's, bit for bit.
 The exact level maxima behind G_r also give the evaluator's certified upper
 bound on mu(A), so building a norm walks the word tree once, and only the
 prefixes of that tree that can still attain a level maximum
-(``bounds._maxima_levels``).
+(``bounds._levels`` with ``bounds._beam_floor``).
 """
 
 import math
@@ -28,15 +28,15 @@ import numpy as np
 
 from .bounds import (
     _CHUNK,
-    _check_grid_q,
+    _beam_floor,
     _exponent,
     _extend,
-    _is_count,
-    _maxima_levels,
+    _levels,
     _normalized,
     _search_setup,
     _upper_bounds,
 )
+from .diagonals import _check_grid_q, _is_count
 from .errors import DimensionError
 from .matrices import (
     COMPLEX,
@@ -94,13 +94,14 @@ class TruncatedExtremalNorm:
             raise ValueError(f"truncation depth m must be a nonnegative integer, got {self.m!r}")
         _check_grid_q(self.grid_q)
         s, e = _normalized(self.matrix)
-        q, _, _, arr, factors = _search_setup(Matrix(s.field, s.arr.T), self.grid_q, True, self.m)
+        q, _, _, arr, factors = _search_setup(Matrix(s.field, s.arr.T), self.grid_q, self.m)
         # Exact maxima M_k of the tree of A^T (the transposes of A's interiors)
         # while a level fits one chunk, to depth m + 1 and at least 4 for the
         # certified upper bound; deeper, M_{a+b} <= M_a M_b.
         depth = max(self.m + 1, 4)
         exact = next(k for k in range(1, depth + 1) if k == depth or len(factors) ** k > _CHUNK)
-        top = [float(lv.top().max()) for _, lv in _maxima_levels(arr, factors, exact, 1)]
+        floor = _beam_floor(arr, factors, exact, 1)
+        top = [float(lv.top().max()) for _, lv, _ in _levels(arr, factors, exact, 1, floor)]
         best = min(t ** (1.0 / k) for k, t in enumerate(top, start=1))
         certified = _upper_bounds(s, q, best)[1] * 2.0**e
         for r in range(exact + 1, self.m + 2):
@@ -195,9 +196,9 @@ def contraction_check(norm: TruncatedExtremalNorm, trials: int = 100, seed: int 
     supremum estimates the induced norm of A under the truncation and
     exceeding c flags a scale below mu(A).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    _search_setup(norm.matrix, norm.grid_q, True, norm.m + 1)  # capacity of the m+1 walks
+    if not _is_count(trials, 1):
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
+    _search_setup(norm.matrix, norm.grid_q, norm.m + 1)  # capacity of the m+1 walks
     rng = np.random.default_rng(seed)
     arr = norm.matrix.arr
     failures = 0
@@ -256,8 +257,8 @@ def verify_norm_axioms(norm: TruncatedExtremalNorm, trials: int = 1000, seed: in
     random unimodular diagonals (grid phases in the complex case), and
     monotonicity under random real entrywise contractions.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not _is_count(trials, 1):
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     cx = norm.complex_letters
     tol = 1e-12
@@ -323,8 +324,8 @@ def complexify_gap_search(a, norm, trials: int = 200, seed: int = 0) -> GapRepor
         raise ValueError("gap search compares fields of a real matrix")
     if isinstance(norm, TruncatedExtremalNorm) and norm.matrix.field != REAL:
         raise ValueError("norm descriptor must be a real absolute norm")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not _is_count(trials, 1):
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
     n = mat.n
     arr = mat.arr
     rng = np.random.default_rng(seed)

@@ -180,8 +180,8 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
         If the certified interval cannot be closed; carries the last
         bracket.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     bmat = _require_nonnegative(b)
     n = bmat.shape[0]
     bt = bmat.T
@@ -246,8 +246,8 @@ def optimal_weighted_l1(b, eps: float) -> WeightedLpNorm:
     :func:`nonneg_spectral_radius` at tolerance ``min(eps/10, 1e-8)``; its
     max Collatz-Wielandt ratio is that call's rho, within tolerance of rho(B).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:  # NaN fails too
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     bmat = _require_nonnegative(b)
     n = bmat.shape[0]
     if bmat.max() == 0.0:

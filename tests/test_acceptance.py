@@ -145,6 +145,28 @@ class TestCriterion4:
             values.append(max(np.linalg.norm(q, 2) for q in level) ** (1.0 / depth))
         return [min(values[:k]) for k in range(1, max_depth + 1)]
 
+    @staticmethod
+    def full_alphabet_bounds(a, max_depth):
+        """The engine's upper and lower bounds at each depth over all 2^n sign
+        letters, by batched products.  The lower side keeps per depth the first
+        word within 1e-12 relative of the maximum, and takes it when it beats
+        the best so far by more than 1e-12 relative."""
+        n = a.shape[0]
+        letters = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+        uppers, lowers, best, interior = [], [], -np.inf, a[None]
+        for depth in range(1, max_depth + 1):
+            top = np.linalg.svd(interior, compute_uv=False)[:, 0].max() ** (1.0 / depth)
+            uppers.append(min(uppers[-1:] + [top]))
+            terminal = (interior[:, None] * letters[None, :, None, :]).reshape(-1, n, n)
+            values = np.abs(np.linalg.eigvals(terminal)).max(axis=-1) ** (1.0 / depth)
+            top = values.max()
+            value = values[np.argmax(values >= top - 1e-12 * max(1.0, top))]
+            if best == -np.inf or value > best + 1e-12 * max(1.0, abs(best)):
+                best = value
+            lowers.append(best)
+            interior = terminal @ a
+        return uppers, lowers
+
     def test_oracle_equivalence(self):
         start = time.perf_counter()
         rng = np.random.default_rng(4242)
@@ -156,14 +178,12 @@ class TestCriterion4:
             for depth in (1, 2, 4, 8):
                 engine = mu_upper_bound(a, max_depth=depth, prune_delta=0.0)
                 ok &= abs(engine - oracle[depth - 1]) <= 1e-12
+            full_upper, full_lower = self.full_alphabet_bounds(a, 5)
             for depth in (1, 3, 5):
                 quot = mu_upper_bound(a, max_depth=depth, prune_delta=0.0)
-                full = mu_upper_bound(
-                    a, max_depth=depth, prune_delta=0.0, quotient=False
-                )
                 lq, _ = mu_lower_bound(a, max_depth=depth)
-                lf, _ = mu_lower_bound(a, max_depth=depth, quotient=False)
-                ok &= abs(quot - full) <= 1e-12 and abs(lq - lf) <= 1e-12
+                ok &= abs(quot - full_upper[depth - 1]) <= 1e-12
+                ok &= abs(lq - full_lower[depth - 1]) <= 1e-12
         elapsed = time.perf_counter() - start
         ok &= elapsed < 120.0
         report(

@@ -37,10 +37,21 @@ def sign_letters(n):
     return [np.array((1.0,) + t) for t in itertools.product((1.0, -1.0), repeat=n - 1)]
 
 
-def exhaustive_upper(a, max_depth):
+def alphabet(n, grid_q=None, quotient=True):
+    """Letters as phase vectors: sign diagonals, or the q-th-root grid; the
+    quotient fixes each letter's first entry to 1."""
+    found = (
+        enumerate_phase_diagonals(n, grid_q, quotient)
+        if grid_q
+        else enumerate_sign_diagonals(n, quotient)
+    )
+    return [d.phases for d in found]
+
+
+def exhaustive_upper(a, max_depth, grid_q=None, quotient=True):
     """Independent oracle: plain fold-loop level enumeration, no pruning."""
-    a = np.asarray(a, dtype=float)
-    letters = sign_letters(a.shape[0])
+    a = np.asarray(a, dtype=complex if grid_q else float)
+    letters = alphabet(a.shape[0], grid_q, quotient)
     best = np.linalg.norm(a, 2)
     level = [a]
     for depth in range(2, max_depth + 1):
@@ -132,16 +143,17 @@ class TestUpperBound:
             assert pruned == exhaustive
 
     def test_quotient_matches_full(self):
+        # The engine walks the quotient alphabet; the oracles walk every letter.
         rng = np.random.default_rng(4)
         for _ in range(6):
             n = int(rng.integers(2, 4))
             a = rng.standard_normal((n, n))
             for depth in (1, 3, 5):
                 quot = mu_upper_bound(a, max_depth=depth, prune_delta=0.0)
-                full = mu_upper_bound(a, max_depth=depth, prune_delta=0.0, quotient=False)
+                full = exhaustive_upper(a, depth, quotient=False)
                 assert quot == pytest.approx(full, abs=1e-12, rel=1e-12)
             lq, _ = mu_lower_bound(a, max_depth=3)
-            lf, _ = mu_lower_bound(a, max_depth=3, quotient=False)
+            lf, _ = word_loop_lower(a, 3, quotient=False)
             assert lq == pytest.approx(lf, abs=1e-12, rel=1e-12)
 
     def test_complex_grid_quotient_matches_full(self):
@@ -150,12 +162,10 @@ class TestUpperBound:
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             for depth in (1, 2, 3):
                 quot = mu_upper_bound(a, max_depth=depth, grid_q=4, prune_delta=0.0)
-                full = mu_upper_bound(
-                    a, max_depth=depth, grid_q=4, prune_delta=0.0, quotient=False
-                )
+                full = exhaustive_upper(a, depth, grid_q=4, quotient=False)
                 assert quot == pytest.approx(full, abs=1e-12, rel=1e-12)
             lq, _ = mu_lower_bound(a, max_depth=2, grid_q=4)
-            lf, _ = mu_lower_bound(a, max_depth=2, grid_q=4, quotient=False)
+            lf, _ = word_loop_lower(a, 2, grid_q=4, quotient=False)
             assert lq == pytest.approx(lf, abs=1e-12, rel=1e-12)
 
     def test_trailing_diagonal_reduction(self):
@@ -523,11 +533,13 @@ class TestGrowthCondition:
 
 
 def on_full_tree(module, fn):
-    """``fn()`` with ``module._maxima_levels`` replaced by the unpruned ``bounds._levels``."""
+    """``fn()`` with ``module._levels`` walking the full tree (floor 0)."""
     import absnorm.bounds as bounds_mod
 
+    levels = bounds_mod._levels
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_maxima_levels", bounds_mod._levels)
+        patch.setattr(module, "_levels", lambda arr, da, depth, threads, floor: levels(
+            arr, da, depth, threads, lambda j: 0.0))
         return fn()
 
 
@@ -568,9 +580,10 @@ class TestMaximaWalk:
         from absnorm import TruncatedExtremalNorm
 
         s, _ = bounds_mod._normalized(as_matrix(a))
-        _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, True, m)
-        pruned = bounds_mod._maxima_levels(arr, da, m, 1)
-        for (k, got), (_, full) in zip(pruned, bounds_mod._levels(arr, da, m, 1)):
+        _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, m)
+        pruned = bounds_mod._levels(arr, da, m, 1, bounds_mod._beam_floor(arr, da, m, 1))
+        full_tree = bounds_mod._levels(arr, da, m, 1, lambda j: 0.0)
+        for (k, got, _), (_, full, _) in zip(pruned, full_tree):
             top = full.top().max()
             assert got.top().max() == top, k
             maxima = full.interior[full.exact == top]
@@ -598,9 +611,10 @@ class TestMaximaWalk:
         import absnorm.bounds as bounds_mod
 
         s, _ = bounds_mod._normalized(as_matrix(a))
-        _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, True, m)
-        tops = [lv.top().max() for _, lv in bounds_mod._levels(arr, da, m, 1)]
-        levels = [lv for _, lv in bounds_mod._maxima_levels(arr, da, m, 1)]
+        _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, m)
+        tops = [lv.top().max() for _, lv, _ in bounds_mod._levels(arr, da, m, 1, lambda j: 0.0)]
+        floor = bounds_mod._beam_floor(arr, da, m, 1)
+        levels = [lv for _, lv, _ in bounds_mod._levels(arr, da, m, 1, floor)]
         for k, (level, deeper) in enumerate(zip(levels, levels[1:]), start=1):
             need = np.zeros(len(level.hi), dtype=bool)
             for r in range(1, m - k + 1):
@@ -692,12 +706,7 @@ def word_loop_lower(a, max_depth, grid_q=None, quotient=True):
     """
     a = np.asarray(a, dtype=complex if grid_q else float)
     n = a.shape[0]
-    found = (
-        enumerate_phase_diagonals(n, grid_q, quotient)
-        if grid_q
-        else enumerate_sign_diagonals(n, quotient)
-    )
-    letters = [d.phases for d in found]
+    letters = alphabet(n, grid_q, quotient)
     best, best_word = -np.inf, None
     for k in range(1, max_depth + 1):
         words = list(itertools.product(range(len(letters)), repeat=k))
@@ -734,7 +743,53 @@ def _walk_case(kind):
     return rng.standard_normal((3, 3))
 
 
+def _bounds_walk_cases():
+    """(A, grid_q, depth): the ``_walk_case`` kinds and similarity-transformed
+    nilpotent and Jordan blocks, whose computed rho of about u^(1/n) can put
+    the lower side's best above mu(A) by more than the tie slack."""
+    cases = [(kind, _walk_case(kind), 2, depth) for kind, depth in (
+        ("random", 5), ("deep", 6), ("integer", 4), ("nilpotent", 4), ("zero", 3),
+        ("triangular", 4), ("hadamard", 4))]
+    cases += [("complex", _walk_case("complex"), 4, 4), ("triangular_q4", _walk_case("triangular"), 4, 3)]
+    # Its length-5 witness follows a prefix with pruned rows before it, so
+    # the witness needs the full-tree indices of the kept rows.
+    cases.append(("pruned_prefix", np.random.default_rng(31).standard_normal((4, 4)), 2, 5))
+    rng = np.random.default_rng(62)
+    for n, depth in ((3, 6), (4, 5)):
+        s = rng.standard_normal((n, n))
+        shift = np.eye(n, k=1)
+        cases.append((f"similar_nilpotent{n}", s @ shift @ np.linalg.inv(s), 2, depth))
+        cases.append((f"similar_jordan{n}", s @ (np.eye(n) + shift) @ np.linalg.inv(s), 2, depth))
+    return [pytest.param(a, q, depth, id=f"walk_{name}") for name, a, q, depth in cases]
+
+
 class TestWalk:
+    @pytest.mark.parametrize("a, grid_q, depth", _maxima_cases() + _bounds_walk_cases())
+    def test_matches_full_tree(self, monkeypatch, a, grid_q, depth):
+        # The walk extends only the prefixes that can reach the lower side's
+        # bar or a level maximum; every result is the floor-0 walk's.
+        import absnorm.bounds as bounds_mod
+
+        def results(threads):
+            report = mu_bounds(a, depth, grid_q=grid_q, threads=threads, use_shortcut=False)
+            lower, word = mu_lower_bound(a, depth, grid_q=grid_q, threads=threads)
+            upper = mu_upper_bound(a, depth, grid_q=grid_q, threads=threads)
+            return bounds_report_to_json(report), lower, word_to_json(word), upper
+
+        expected = on_full_tree(bounds_mod, lambda: results(1))
+        for chunk, threads in ((bounds_mod._CHUNK, 1), (bounds_mod._CHUNK, 2), (7, 2)):
+            monkeypatch.setattr(bounds_mod, "_CHUNK", chunk)
+            assert results(threads) == expected, (chunk, threads)
+
+    def test_builds_few_interiors(self, monkeypatch):
+        # The full tree has 21,844 interiors below the root; the walk builds
+        # 756 of them.
+        rows = TestMaximaWalk._count_rows(monkeypatch)
+        a = np.random.default_rng(31).standard_normal((3, 3))
+        report = mu_bounds(a, max_depth=8, use_shortcut=False)
+        assert report.nodes_visited == sum(4**k for k in range(1, 9))
+        assert 0 < sum(rows) < 0.05 * sum(4**k for k in range(1, 8))
+
     @pytest.mark.parametrize(
         "kind, depth, grid_q, quotient",
         [
@@ -753,8 +808,10 @@ class TestWalk:
         ],
     )
     def test_lower_matches_word_loop(self, kind, depth, grid_q, quotient):
+        # ``quotient`` is the oracle's alphabet; its first tying word has
+        # letters with first entry 1, as the engine's quotient letters.
         a = _walk_case(kind)
-        value, word = mu_lower_bound(a, max_depth=depth, grid_q=grid_q or 2, quotient=quotient)
+        value, word = mu_lower_bound(a, max_depth=depth, grid_q=grid_q or 2)
         expected, letters = word_loop_lower(a, depth, grid_q, quotient)
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
         assert word.k == len(letters)

@@ -76,6 +76,18 @@ class TestPhaseEnumeration:
         with pytest.raises(ValueError):
             enumerate_phase_diagonals(2, 3)
 
+    @pytest.mark.parametrize("q", [2.0, 4.5, True, None])
+    def test_non_integer_q_rejected(self, q):
+        with pytest.raises(ValueError, match="grid order"):
+            enumerate_phase_diagonals(2, q)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, 0])
+    def test_non_integer_dimension_rejected(self, n):
+        with pytest.raises(DimensionError, match="dimension"):
+            enumerate_sign_diagonals(n)
+        with pytest.raises(DimensionError, match="dimension"):
+            enumerate_phase_diagonals(n, 4)
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             enumerate_phase_diagonals(8, 12)

@@ -353,6 +353,11 @@ class TestContraction:
         assert report.passed
         assert report.max_empirical_ratio <= c + 1e-9
 
+    @pytest.mark.parametrize("trials", [2.5, 0, True])
+    def test_rejects_non_integer_trials(self, sharp_norm, trials):
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            contraction_check(sharp_norm, trials=trials)
+
     def test_structural_inequality_even_below_mu(self):
         with pytest.warns(UserWarning):
             norm = build_norm(SHARP, c=1.0, m=3)
@@ -392,6 +397,11 @@ class TestAxioms:
         norm = build_norm(SHARP, c=2.1, m=4)
         report = verify_norm_axioms(norm, trials=500, seed=0)
         assert report.passed
+
+    @pytest.mark.parametrize("trials", [2.5, 0, True])
+    def test_rejects_non_integer_trials(self, sharp_norm, trials):
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            verify_norm_axioms(sharp_norm, trials=trials)
 
     def test_complex_grid_norm_all_axioms(self):
         a = np.array([[1.0, 1.0j], [1.0, -1.0]])
@@ -458,6 +468,11 @@ class TestGapSearch:
     def test_rejects_complex_matrix(self):
         with pytest.raises(ValueError):
             complexify_gap_search(np.array([[1j]]), WeightedLpNorm([1.0], 1))
+
+    @pytest.mark.parametrize("trials", [0.5, 2.5, 0, True])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            complexify_gap_search(SHARP, WeightedLpNorm([1.0, 1.0], 1), trials=trials)
 
 
 class TestDescriptorJson:

@@ -41,6 +41,11 @@ class TestSpectralRadiusExamples:
         r = nonneg_spectral_radius([[0, 2], [1, 0]])
         assert r.rho == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            nonneg_spectral_radius([[1.0, 2.0], [3.0, 4.0]], tol=tol)
+
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             nonneg_spectral_radius([[1, -1], [0, 1]])
@@ -268,6 +273,12 @@ class TestOptimalWeightedL1:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             optimal_weighted_l1([[1]], eps=0.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_rejects_non_finite_eps(self, eps):
+        # NaN used to pass the sign check and end in NonConvergenceError.
+        with pytest.raises(ValueError, match="positive and finite"):
+            optimal_weighted_l1([[1.0, 2.0], [3.0, 4.0]], eps=eps)
 
 
 class TestErrors:

@@ -18,6 +18,14 @@ The exact level maxima behind G_r also give the evaluator's certified upper
 bound on mu(A), so building a norm walks the word tree once, and only the
 prefixes of that tree that can still attain a level maximum
 (``bounds._levels`` with ``bounds._beam_floor``).
+
+The evaluator walks a stack of vectors at once.  Each vector keeps its own
+power-of-two scale and its own best term, and a product is dropped against
+its own vector's best, so each vector's terms are those of a walk of that
+vector alone.  The audits draw their trials in the generator order of a
+per-trial loop and evaluate all the vectors of a block in one walk.  A block
+holds at most 2^18 worst-case product rows (L^depth per vector for L
+letters, one vector at least), so memory does not grow with ``trials``.
 """
 
 import math
@@ -29,7 +37,6 @@ import numpy as np
 from .bounds import (
     _CHUNK,
     _beam_floor,
-    _exponent,
     _extend,
     _levels,
     _normalized,
@@ -46,7 +53,6 @@ from .matrices import (
     as_matrix,
     matrix_from_json,
     matrix_to_json,
-    vector_norm,
 )
 
 __all__ = [
@@ -62,6 +68,10 @@ __all__ = [
     "norm_to_json",
     "norm_from_json",
 ]
+
+# Worst-case product rows of one block of evaluated vectors: L^depth per
+# vector when nothing is pruned, as for c below mu(A).
+_BLOCK_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -137,41 +147,79 @@ def build_norm(a, c: float, m: int, grid_q: int = 2) -> TruncatedExtremalNorm:
     return norm
 
 
-def _eval_levels(norm: TruncatedExtremalNorm, x, depth):
-    """Running maximum of the terms after each level 0..``depth`` (see the module
-    docstring), on 2^-f x scaled back by 2^f so that no square under- or overflows."""
-    x = np.asarray(x, dtype=complex if norm.complex_letters or np.iscomplexobj(x) else float)
-    f = _exponent(x)
-    level = (x * 2.0**-f)[None, None, :]
-    best = float(np.linalg.norm(level[0, 0]))
-    norms, running, scale = np.array([best]), [best], 1.0
+def _eval_levels(norm: TruncatedExtremalNorm, xs, depth):
+    """Running maxima, shape (V, ``depth`` + 1), of the terms after each level
+    0..``depth`` (see the module docstring) at the rows of the (V, n) stack ``xs``.
+    Row v is walked as 2^-f_v x_v and scaled back by 2^f_v, so that no square
+    under- or overflows.  The products of each row stay contiguous and in row
+    order, so a level's maxima are one ``reduceat`` over the rows' segments."""
+    xs = np.asarray(xs, dtype=complex if norm.complex_letters or np.iscomplexobj(xs) else float)
+    f = np.minimum(np.maximum(np.frexp(np.abs(xs).max(axis=1))[1], -1021), 1021)  # bounds._exponent
+    level = (xs * np.ldexp(1.0, -f)[:, None])[:, None, :]
+    norms = np.linalg.norm(level[:, 0], axis=1)
+    best, owner, scale = norms.copy(), np.arange(len(xs)), 1.0
+    running = np.empty((len(xs), depth + 1))
+    running[:, 0] = best
     for j in range(1, depth + 1):
-        level = level[~(scale * norms * (norm._subtree[depth - j + 1] * (1 + 1e-9)) <= best)]
+        keep = ~(scale * norms * (norm._subtree[depth - j + 1] * (1 + 1e-9)) <= best[owner])
+        level, owner = level[keep], owner[keep]
         if not len(level):
+            running[:, j:] = best[:, None]
             break
         scale /= norm._c
         level = _extend(level, norm._factors)
+        owner = np.repeat(owner, len(norm._factors))
         norms = np.linalg.norm(level[:, 0], axis=1)
-        best = max(best, scale * float(norms.max()))
-        running.append(best)
-    return [v * 2.0**f for v in running + [best] * (depth + 1 - len(running))]
+        starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        ids = owner[starts]
+        # fmax keeps best where a term is NaN, as max(best, term) did per vector.
+        best[ids] = np.fmax(best[ids], scale * np.maximum.reduceat(norms, starts))
+        running[:, j] = best
+    with np.errstate(over="ignore"):  # a finite x whose value overflows reads inf
+        return running * np.ldexp(1.0, f)[:, None]
+
+
+def _block_vectors(norm, depth):
+    """Vectors in one block of ``_eval_blocks``: at most ``_BLOCK_ROWS`` worst-case
+    rows, and at least one vector."""
+    return max(1, _BLOCK_ROWS // len(norm._factors) ** depth)
+
+
+def _eval_blocks(norm, xs, depth):
+    """``_eval_levels`` on the stack ``xs``, one block of vectors at a time."""
+    size = _block_vectors(norm, depth)
+    return np.concatenate([_eval_levels(norm, xs[i : i + size], depth) for i in range(0, len(xs), size)])
+
+
+def _images(arr, xs):
+    """A x for each row x, one product at a time: a stacked product can round
+    differently with the number of rows, and so with the block size."""
+    return np.array([arr @ x for x in xs])
+
+
+def _blocks(count, size):
+    """``count`` trials split into consecutive blocks of ``size`` (the last may be short)."""
+    return [min(size, count - start) for start in range(0, count, size)]
 
 
 def eval_norm(norm: TruncatedExtremalNorm, x) -> float:
-    """Evaluate the truncated norm at a vector.
+    """Evaluate the truncated norm at a finite vector.
 
     The k = 0 term makes the value at least ``||x||_2``; depth m = 0
     reduces to the Euclidean norm exactly.  Pruned subtrees leave it unchanged.
+    A finite vector whose value overflows reads ``inf``.
     """
     x = np.asarray(x)
     if x.shape != (norm.n,):
         raise DimensionError(f"vector has shape {x.shape}, expected ({norm.n},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"vector must be finite, got {x!r}")
     if np.iscomplexobj(x) and np.any(x.imag != 0) and not norm.complex_letters:
         raise ValueError(
             "complex vectors need a complex-letter norm; evaluate the "
             "complexification via eval_norm(N, abs(x)) instead"
         )
-    return _eval_levels(norm, x, norm.m)[-1]
+    return float(_eval_levels(norm, x[None], norm.m)[0, -1])
 
 
 @dataclass(frozen=True)
@@ -203,15 +251,13 @@ def contraction_check(norm: TruncatedExtremalNorm, trials: int = 100, seed: int 
     arr = norm.matrix.arr
     failures = 0
     max_ratio = 0.0
-    for _ in range(trials):
-        x = _random_vector(rng, norm.n, norm.complex_letters)
-        ax = arr @ x
-        lhs = _eval_levels(norm, ax, norm.m)[-1]
-        denom, deeper = _eval_levels(norm, x, norm.m + 1)[-2:]  # N_m(x), N_{m+1}(x)
-        if lhs > norm.c * deeper * (1 + 1e-12):
-            failures += 1
-        if denom > 0:
-            max_ratio = max(max_ratio, lhs / denom)
+    for size in _blocks(trials, _block_vectors(norm, norm.m + 1)):
+        xs = np.array([_random_vector(rng, norm.n, norm.complex_letters) for _ in range(size)])
+        lhs = _eval_blocks(norm, _images(arr, xs), norm.m)[:, -1]
+        denom, deeper = _eval_blocks(norm, xs, norm.m + 1)[:, -2:].T  # N_m(x), N_{m+1}(x)
+        failures += int(np.count_nonzero(lhs > norm.c * deeper * (1 + 1e-12)))
+        positive = denom > 0
+        max_ratio = float(np.fmax.reduce(lhs[positive] / denom[positive], initial=max_ratio))
     return ContractionReport(trials, failures, float(max_ratio), norm.c)
 
 
@@ -249,6 +295,17 @@ def _random_grid_diagonal(rng, n, q, complex_data):
     return np.exp(2j * np.pi * k / q)
 
 
+def _axiom_draw(rng, norm):
+    """One axiom trial's x, y, t, d and s, in the audit's generator order."""
+    cx = norm.complex_letters
+    x = _random_vector(rng, norm.n, cx)
+    y = _random_vector(rng, norm.n, cx)
+    t = rng.standard_normal()
+    if cx:
+        t = t * np.exp(2j * np.pi * rng.random())
+    return x, y, t, _random_grid_diagonal(rng, norm.n, norm.grid_q, cx), rng.random(norm.n)
+
+
 def verify_norm_axioms(norm: TruncatedExtremalNorm, trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Audit the norm axioms on seeded random vectors, 1e-12 relative slack.
 
@@ -260,37 +317,24 @@ def verify_norm_axioms(norm: TruncatedExtremalNorm, trials: int = 1000, seed: in
     if not _is_count(trials, 1):
         raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
-    cx = norm.complex_letters
     tol = 1e-12
-    pos = hom = tri = absu = mono = 0
-    for _ in range(trials):
-        x = _random_vector(rng, norm.n, cx)
-        y = _random_vector(rng, norm.n, cx)
-        vx = eval_norm(norm, x)
-        vy = eval_norm(norm, y)
-
-        if not (np.isfinite(vx) and vx >= float(np.linalg.norm(x)) * (1 - tol)) or vx <= 0:
-            pos += 1
-
-        t = rng.standard_normal()
-        if cx:
-            t = t * np.exp(2j * np.pi * rng.random())
-        scaled = eval_norm(norm, t * x)
-        if abs(scaled - abs(t) * vx) > tol * max(1.0, abs(t) * vx):
-            hom += 1
-
-        vxy = eval_norm(norm, x + y)
-        if vxy > (vx + vy) * (1 + tol):
-            tri += 1
-
-        d = _random_grid_diagonal(rng, norm.n, norm.grid_q, cx)
-        if abs(eval_norm(norm, d * x) - vx) > tol * max(1.0, vx):
-            absu += 1
-
-        s = rng.random(norm.n)
-        if eval_norm(norm, s * y) > vy * (1 + tol):
-            mono += 1
-    return AxiomReport(trials, pos, hom, tri, absu, mono)
+    counts = np.zeros(5, dtype=int)
+    for size in _blocks(trials, max(1, _block_vectors(norm, norm.m) // 6)):
+        x, y, t, d, s = map(np.array, zip(*(_axiom_draw(rng, norm) for _ in range(size))))
+        stack = np.concatenate([x, y, t[:, None] * x, x + y, d * x, s * y])
+        vx, vy, scaled, vxy, vdx, vsy = _eval_blocks(norm, stack, norm.m)[:, -1].reshape(6, size)
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite values count, not raise
+            tvx = np.abs(t) * vx
+            counts += [
+                np.count_nonzero(
+                    ~(np.isfinite(vx) & (vx >= np.linalg.norm(x, axis=1) * (1 - tol))) | (vx <= 0)
+                ),
+                np.count_nonzero(np.abs(scaled - tvx) > tol * np.maximum(1.0, tvx)),
+                np.count_nonzero(vxy > (vx + vy) * (1 + tol)),
+                np.count_nonzero(np.abs(vdx - vx) > tol * np.maximum(1.0, vx)),
+                np.count_nonzero(vsy > vy * (1 + tol)),
+            ]
+    return AxiomReport(trials, *map(int, counts))
 
 
 @dataclass(frozen=True)
@@ -300,12 +344,11 @@ class GapReport:
     gap: float
 
 
-def _real_norm_eval(norm, v):
+def _norm_rows(norm, xs):
+    """A weighted l_p or truncated extremal norm at the rows of the stack ``xs``."""
     if isinstance(norm, WeightedLpNorm):
-        return vector_norm(v, norm)
-    if isinstance(norm, TruncatedExtremalNorm):
-        return eval_norm(norm, v)
-    raise TypeError(f"unsupported norm descriptor {type(norm).__name__}")
+        return np.linalg.norm(norm.w * xs, ord=norm.p, axis=1)
+    return _eval_blocks(norm, xs, norm.m)[:, -1]
 
 
 def complexify_gap_search(a, norm, trials: int = 200, seed: int = 0) -> GapReport:
@@ -326,7 +369,11 @@ def complexify_gap_search(a, norm, trials: int = 200, seed: int = 0) -> GapRepor
         raise ValueError("norm descriptor must be a real absolute norm")
     if not _is_count(trials, 1):
         raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
+    if not isinstance(norm, (WeightedLpNorm, TruncatedExtremalNorm)):
+        raise TypeError(f"unsupported norm descriptor {type(norm).__name__}")
     n = mat.n
+    if norm.n != n:
+        raise DimensionError(f"norm has dimension {norm.n} but the matrix is {n}x{n}")
     arr = mat.arr
     rng = np.random.default_rng(seed)
 
@@ -338,24 +385,26 @@ def complexify_gap_search(a, norm, trials: int = 200, seed: int = 0) -> GapRepor
             if np.any(signs != 0):
                 probes.append(np.where(signs == 0, 1.0, signs) / norm.w)
 
-    def ratio_real(x):
-        denom = _real_norm_eval(norm, x)
-        return _real_norm_eval(norm, arr @ x) / denom if denom > 0 else 0.0
+    def sup(start, xs, images):
+        """max(start, max_v N(images_v) / N(xs_v)), a ratio reading 0 where N(x) = 0."""
+        values = _norm_rows(norm, np.concatenate([xs, images]))
+        num, den = values[len(xs) :], values[: len(xs)]
+        ratios = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return float(np.fmax.reduce(ratios, initial=start))
 
-    def ratio_complex(z):
-        denom = _real_norm_eval(norm, np.abs(z))
-        return _real_norm_eval(norm, np.abs(arr @ z)) / denom if denom > 0 else 0.0
-
-    real_sup = 0.0
-    for x in probes:
-        real_sup = max(real_sup, ratio_real(x))
-    for _ in range(trials):
-        real_sup = max(real_sup, ratio_real(rng.standard_normal(n)))
+    # Two evaluated vectors per trial, x and A x; an l_p norm has one row per vector.
+    per_block = _block_vectors(norm, norm.m) if isinstance(norm, TruncatedExtremalNorm) else _BLOCK_ROWS
+    blocks = _blocks(trials, max(1, per_block // 2))
+    real_sup = sup(0.0, np.array(probes), _images(arr, probes))
+    for size in blocks:
+        xs = rng.standard_normal((size, n))
+        real_sup = sup(real_sup, xs, _images(arr, xs))
 
     complex_sup = real_sup
-    for _ in range(trials):
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        complex_sup = max(complex_sup, ratio_complex(z))
+    for size in blocks:
+        w = rng.standard_normal((size, 2, n))  # the real and imaginary parts of each z
+        zs = w[:, 0] + 1j * w[:, 1]
+        complex_sup = sup(complex_sup, np.abs(zs), np.abs(_images(arr, zs)))
     return GapReport(float(real_sup), float(complex_sup), float(complex_sup - real_sup))
 
 

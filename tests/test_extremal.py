@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from absnorm import (
+    DimensionError,
     GrowthQuery,
     TruncatedExtremalNorm,
     WeightedLpNorm,
@@ -342,6 +344,19 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_norm(sharp_norm, np.array([1j, 0.0]))
 
+    @pytest.mark.parametrize(
+        "x", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [complex(np.nan, 0.0), 0.0]]
+    )
+    def test_rejects_non_finite_vector(self, sharp_norm, x):
+        # These used to return nan or inf.
+        with pytest.raises(ValueError, match="finite"):
+            eval_norm(sharp_norm, x)
+
+    def test_finite_vector_whose_value_overflows_reads_inf(self, sharp_norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_norm(sharp_norm, [1.7e308, 1.7e308]) == np.inf
+
 
 class TestContraction:
     def test_nonnegative_matrix_ratio_below_scale(self):
@@ -420,7 +435,9 @@ class TestAxioms:
         import absnorm.extremal as extremal_mod
 
         norm = build_norm(SHARP, c=2.1, m=2)
-        monkeypatch.setattr(extremal_mod, "eval_norm", lambda nm, x: float("inf"))
+        monkeypatch.setattr(
+            extremal_mod, "_eval_levels", lambda nm, xs, depth: np.full((len(xs), depth + 1), np.inf)
+        )
         report = verify_norm_axioms(norm, trials=5, seed=0)
         assert report.positivity_failures == 5
         assert not report.passed
@@ -469,6 +486,13 @@ class TestGapSearch:
         with pytest.raises(ValueError):
             complexify_gap_search(np.array([[1j]]), WeightedLpNorm([1.0], 1))
 
+    @pytest.mark.parametrize("norm", [WeightedLpNorm([1.0], 1), WeightedLpNorm(np.ones(3), 2)])
+    def test_rejects_norm_of_other_dimension(self, norm):
+        with pytest.raises(DimensionError):
+            complexify_gap_search(SHARP, norm)
+        with pytest.raises(DimensionError):
+            complexify_gap_search(np.eye(3), build_norm(SHARP, c=2.5, m=2))
+
     @pytest.mark.parametrize("trials", [0.5, 2.5, 0, True])
     def test_rejects_non_integer_trials(self, trials):
         with pytest.raises(ValueError, match="integer of at least 1"):
@@ -485,3 +509,275 @@ class TestDescriptorJson:
         assert again.grid_q == sharp_norm.grid_q
         x = np.array([0.7, -0.2])
         assert eval_norm(again, x) == eval_norm(sharp_norm, x)
+
+
+def per_vector_levels(norm, x, depth):
+    """The per-vector walk that the batched one replaced, its k = 0 term taken as
+    a row norm: the running maxima after each level 0..depth."""
+    x = np.asarray(x, dtype=complex if norm.complex_letters or np.iscomplexobj(x) else float)
+    f = min(max(int(np.frexp(np.abs(x).max())[1]), -1021), 1021)
+    level = (x * 2.0**-f)[None, None, :]
+    best = float(np.linalg.norm(level[:, 0], axis=1)[0])
+    norms, running, scale = np.array([best]), [best], 1.0
+    for j in range(1, depth + 1):
+        level = level[~(scale * norms * (norm._subtree[depth - j + 1] * (1 + 1e-9)) <= best)]
+        if not len(level):
+            break
+        scale /= norm._c
+        level = np.einsum("mij,ljk->mlik", level, norm._factors).reshape(-1, 1, norm.n)
+        norms = np.linalg.norm(level[:, 0], axis=1)
+        best = max(best, scale * float(norms.max()))
+        running.append(best)
+    return [v * 2.0**f for v in running + [best] * (depth + 1 - len(running))]
+
+
+BATCH_DEPTHS = [(3, 2, m) for m in (0, 1, 4, 6)] + [(3, 4, m) for m in (0, 1, 4)] + [(2, 4, 6)]
+
+
+def batch_cases():
+    """(norm, stack) pairs: real and q = 4 norms at m = 0, 1, 4 and 6 (the 3x3 q = 4
+    norm has L = 16 letters, so its m = 6 case is 2x2), c above and below mu, rows
+    at scales 1, 1e-250 and 1e250 and a zero row."""
+    rng = np.random.default_rng(40)
+    cases = []
+    for n, q, m in BATCH_DEPTHS:
+        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if q > 2 else 0)
+        upper = certified_upper(a, q)
+        for c in (1.05 * upper, 0.5 * upper):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # c below mu warns
+                norm = build_norm(a, c=c, m=m, grid_q=q)
+            xs = rng.standard_normal((12, n)) + (1j * rng.standard_normal((12, n)) if q > 2 else 0)
+            xs[8:10] *= 1e-250
+            xs[10:12] *= 1e250
+            cases.append((norm, np.concatenate([xs, np.zeros((1, n))])))
+    return cases
+
+
+def assert_ulps(a, b, k=4):
+    assert abs(a - b) <= k * np.spacing(max(abs(a), abs(b))), (a, b)
+
+
+class TestBatchedWalk:
+    @pytest.mark.parametrize("case", range(2 * len(BATCH_DEPTHS)))
+    def test_stack_matches_rows(self, case):
+        import absnorm.extremal as extremal_mod
+
+        norm, xs = batch_cases()[case]
+        levels = extremal_mod._eval_levels(norm, xs, norm.m)
+        assert levels.shape == (len(xs), norm.m + 1)
+        assert np.array_equal(levels, [per_vector_levels(norm, x, norm.m) for x in xs])
+        assert np.array_equal(levels[:, -1], [eval_norm(norm, x) for x in xs])
+        assert np.all(levels[-1] == 0.0)
+
+    def test_unpruned_walks_the_full_tree(self, monkeypatch):
+        import absnorm.extremal as extremal_mod
+
+        with pytest.warns(UserWarning):
+            norm = unpruned(build_norm(HADAMARD, c=0.5, m=5))
+        rows = []
+        extend = extremal_mod._extend
+
+        def counting(batch, factors, threads=1):
+            rows.append(len(batch) * len(factors))
+            return extend(batch, factors, threads)
+
+        monkeypatch.setattr(extremal_mod, "_extend", counting)
+        xs = np.random.default_rng(41).standard_normal((5, 2))
+        levels = extremal_mod._eval_levels(norm, xs, norm.m)
+        assert rows == [len(xs) * 2**k for k in range(1, norm.m + 1)]
+        assert np.array_equal(levels, [per_vector_levels(norm, x, norm.m) for x in xs])
+
+    @pytest.mark.parametrize("cap", [1, 7, 100])
+    def test_block_boundaries(self, monkeypatch, cap):
+        import absnorm.extremal as extremal_mod
+
+        cases = batch_cases()[::3]
+        norm = cases[2][0]  # the real m = 6 norm, c above mu
+        expected = [extremal_mod._eval_levels(nm, xs, nm.m) for nm, xs in cases]
+        audits = (
+            verify_norm_axioms(norm, trials=40, seed=3),
+            contraction_check(norm, trials=15, seed=3),
+            complexify_gap_search(norm.matrix.arr, norm, trials=20, seed=3),
+        )
+        monkeypatch.setattr(extremal_mod, "_BLOCK_ROWS", cap)
+        for (nm, xs), levels in zip(cases, expected):
+            assert np.array_equal(extremal_mod._eval_blocks(nm, xs, nm.m), levels)
+        assert audits == (
+            verify_norm_axioms(norm, trials=40, seed=3),
+            contraction_check(norm, trials=15, seed=3),
+            complexify_gap_search(norm.matrix.arr, norm, trials=20, seed=3),
+        )
+
+    @staticmethod
+    def bend(monkeypatch):
+        """Perturb every value by up to 30%, by a factor that depends on the signs
+        and phases of its vector's entries, so that the audits count failures of
+        every kind; eval_norm sees the same values."""
+        import absnorm.extremal as extremal_mod
+
+        walk = extremal_mod._eval_levels
+
+        def bent(norm, xs, depth):
+            xs = np.asarray(xs)
+            wobble = np.cos(1e3 * (xs.real + 2 * xs.imag).sum(axis=1))
+            return walk(norm, xs, depth) * (1 + 0.3 * wobble)[:, None]
+
+        monkeypatch.setattr(extremal_mod, "_eval_levels", bent)
+
+    @staticmethod
+    def loop_axioms(norm, trials, seed):
+        """The per-trial axiom audit that the batched one replaced."""
+        from absnorm.extremal import _random_grid_diagonal, _random_vector
+
+        rng = np.random.default_rng(seed)
+        cx, tol = norm.complex_letters, 1e-12
+        counts = [0] * 5
+        for _ in range(trials):
+            x = _random_vector(rng, norm.n, cx)
+            y = _random_vector(rng, norm.n, cx)
+            vx, vy = eval_norm(norm, x), eval_norm(norm, y)
+            counts[0] += not (np.isfinite(vx) and vx >= float(np.linalg.norm(x)) * (1 - tol)) or vx <= 0
+            t = rng.standard_normal()
+            if cx:
+                t = t * np.exp(2j * np.pi * rng.random())
+            counts[1] += abs(eval_norm(norm, t * x) - abs(t) * vx) > tol * max(1.0, abs(t) * vx)
+            counts[2] += eval_norm(norm, x + y) > (vx + vy) * (1 + tol)
+            d = _random_grid_diagonal(rng, norm.n, norm.grid_q, cx)
+            counts[3] += abs(eval_norm(norm, d * x) - vx) > tol * max(1.0, vx)
+            counts[4] += eval_norm(norm, rng.random(norm.n) * y) > vy * (1 + tol)
+        return counts
+
+    @staticmethod
+    def loop_contraction(norm, trials, seed):
+        """The per-trial contraction audit that the batched one replaced."""
+        import absnorm.extremal as extremal_mod
+
+        rng = np.random.default_rng(seed)
+        failures, ratio = 0, 0.0
+        for _ in range(trials):
+            x = extremal_mod._random_vector(rng, norm.n, norm.complex_letters)
+            lhs = extremal_mod._eval_levels(norm, (norm.matrix.arr @ x)[None], norm.m)[0, -1]
+            denom, deeper = extremal_mod._eval_levels(norm, x[None], norm.m + 1)[0, -2:]
+            failures += lhs > norm.c * deeper * (1 + 1e-12)
+            if denom > 0:
+                ratio = max(ratio, lhs / denom)
+        return failures, ratio
+
+    @staticmethod
+    def loop_gap(a, norm, trials, seed):
+        """The per-vector gap search that the batched one replaced, without the
+        sign probes it adds for weighted l_inf norms."""
+        from absnorm import vector_norm
+
+        def value(v):
+            return vector_norm(v, norm) if isinstance(norm, WeightedLpNorm) else eval_norm(norm, v)
+
+        def ratio(x, ax):
+            return value(ax) / value(x) if value(x) > 0 else 0.0
+
+        rng = np.random.default_rng(seed)
+        n = len(a)
+        real = max(ratio(e, a @ e) for e in np.eye(n))
+        for _ in range(trials):
+            x = rng.standard_normal(n)
+            real = max(real, ratio(x, a @ x))
+        cplx = real
+        for _ in range(trials):
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            cplx = max(cplx, ratio(np.abs(z), np.abs(a @ z)))
+        return real, cplx
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bent", [False, True])
+    def test_audits_match_per_trial_loop(self, monkeypatch, seed, bent):
+        if bent:
+            self.bend(monkeypatch)
+        rng = np.random.default_rng(42 + seed)
+        real = rng.standard_normal((3, 3))
+        cplx = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        for a, q, m in ((real, 2, 4), (real, 2, 0), (cplx, 4, 3)):
+            norm = build_norm(a, c=1.05 * certified_upper(a, q), m=m, grid_q=q)
+            report = verify_norm_axioms(norm, trials=60, seed=seed)
+            counts = self.loop_axioms(norm, 60, seed)
+            assert list(dataclasses.astuple(report))[1:] == counts
+            assert report.passed == (sum(counts) == 0)
+            assert all(counts) if bent else not any(counts)
+            contraction = contraction_check(norm, trials=30, seed=seed)
+            failures, ratio = self.loop_contraction(norm, 30, seed)
+            assert contraction.structural_failures == failures
+            assert (failures > 0) == bent
+            assert_ulps(contraction.max_empirical_ratio, ratio)
+        gap_norms = [WeightedLpNorm(rng.random(3) + 0.2, p) for p in (1, 2)]
+        gap_norms.append(build_norm(real, c=1.05 * certified_upper(real, 2), m=3))
+        for norm in gap_norms:
+            gap = complexify_gap_search(real, norm, trials=40, seed=seed)
+            expected = self.loop_gap(real, norm, 40, seed)
+            assert_ulps(gap.real_sup, expected[0])
+            assert_ulps(gap.complex_sup, expected[1])
+            assert gap.gap >= 0.0
+
+    def test_audits_walk_once_per_block(self, monkeypatch):
+        # The bench's real norm shape: L = 4 letters at m = 6, so a block holds
+        # 2^18 // 4^6 = 64 vectors, 10 axiom trials of 6 vectors: 30 blocks.
+        import absnorm.extremal as extremal_mod
+
+        a = np.random.default_rng(43).standard_normal((3, 3))
+        norm = build_norm(a, c=1.05 * certified_upper(a, 2), m=6)
+        calls = {"walks": 0, "extends": 0}
+        walk, extend = extremal_mod._eval_levels, extremal_mod._extend
+
+        def counting_walk(*args):
+            calls["walks"] += 1
+            return walk(*args)
+
+        def counting_extend(*args):
+            calls["extends"] += 1
+            return extend(*args)
+
+        monkeypatch.setattr(extremal_mod, "_eval_levels", counting_walk)
+        monkeypatch.setattr(extremal_mod, "_extend", counting_extend)
+        assert verify_norm_axioms(norm, trials=300, seed=0).passed
+        assert calls["walks"] == 30
+        assert calls["extends"] <= 30 * norm.m
+
+    @pytest.mark.parametrize("cap", [8, 64])
+    def test_no_extend_over_the_cap_unpruned(self, monkeypatch, cap):
+        # L = 2 letters: 2^4 = 16 rows per vector at m = 4 and 32 at depth m + 1,
+        # so a cap of 8 walks one vector a block and 64 walks several.
+        import absnorm.extremal as extremal_mod
+
+        norm = unpruned(build_norm(HADAMARD, c=1.5, m=4))
+        rows = []
+        extend = extremal_mod._extend
+
+        def counting(batch, factors, threads=1):
+            rows.append(len(batch) * len(factors))
+            return extend(batch, factors, threads)
+
+        monkeypatch.setattr(extremal_mod, "_extend", counting)
+        monkeypatch.setattr(extremal_mod, "_BLOCK_ROWS", cap)
+        verify_norm_axioms(norm, trials=20, seed=0)
+        assert max(rows) == max(cap, 16)
+        rows.clear()
+        contraction_check(norm, trials=20, seed=0)
+        assert max(rows) == max(cap, 32)
+        rows.clear()
+        complexify_gap_search(HADAMARD, norm, trials=20, seed=0)
+        assert max(rows) == max(cap, 16)
+
+    def test_memory_flat_in_trials(self, monkeypatch):
+        import tracemalloc
+
+        import absnorm.extremal as extremal_mod
+
+        monkeypatch.setattr(extremal_mod, "_BLOCK_ROWS", 1 << 10)
+        norm = build_norm(HADAMARD, c=1.5, m=4)
+        peaks = []
+        for trials in (100, 3000):
+            tracemalloc.start()
+            verify_norm_axioms(norm, trials=trials, seed=0)
+            contraction_check(norm, trials=trials, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 64 * 1024

@@ -15,21 +15,37 @@ P = A D_1 ... D_{k-1} A (integer-coded letters, extended level by level by
 the factors D A).  A decision on an interior's 2-norm is first tried on the
 bound ||P||_F (1 + 1e-12); the SVD runs only where that cannot settle it.
 The lower side applies the terminal letter as a column scaling T = P D_k and,
-as rho(T) <= ||T|| = ||P||, builds the terminals only of the prefixes with
-||P||^(1/k) within twice the tie slack of the best value so far.  In blocks
-of about 4096 terminals it then bounds rho(T) <= ||T^2||_F^(1/2), with a
-rounding margin, and eigensolves only the terminals whose bound reaches that
-bar; the exhaustive maximum and its lexicographic tie-break are unchanged.
+as rho(T) <= ||T|| = ||P|| (and <= ||S T S^-1|| = ||S P S^-1||, below), builds
+the terminals only of the prefixes with such a norm^(1/k) within twice the tie
+slack of the best value so far.  In blocks of about 4096 terminals it then
+bounds rho(T) <= ||T^2||_F^(1/2), with a rounding margin, and eigensolves only
+the terminals whose bound reaches that bar; the exhaustive maximum and its
+lexicographic tie-break are unchanged.
 
 The upper side is the best level maximum, min over k of M_k^(1/k) with
 M_k the largest ||P|| on level k, read from the interiors that can attain it.
 ``prune_delta`` is accepted for compatibility and has no effect.
 
 The walk extends a prefix P at depth k only while ||P|| M_r can reach a
-floor below M_{k+r} (Gripenberg's cut, unscaled), so every M_k is the full
-tree's.  In ``mu_bounds`` the floor is bar^j <= best^j <= M_j: no word of a
-dropped prefix reaches the lower side's bar.  Growth and the extremal norm
-take theirs from a narrow beam.
+floor below M_{k+r} (Gripenberg, *LAA* 234, 1996), so every M_k is the full
+tree's.  Growth and the extremal norm take their floor from a narrow beam.
+``mu_bounds`` keeps a prefix if either of two cuts can still reach its floor:
+
+* lower: bar^j, with bar the best value less twice the tie slack, reached
+  both in the plain norm and in the Perron-balanced norm ||S P S^-1||_2,
+  S = diag((y / x)^(1/2)) from the left and right Perron vectors y and x of
+  |A| (``_balance``).  S commutes with every letter, so rho(P D) <=
+  ||S P S^-1|| for every word; ||S |A| S^-1||_2 = rho(|A|), which puts the
+  balanced norms closer to mu(A) than the plain ones on most inputs.  No
+  word of a dropped prefix reaches the bar, and the lower side gates and
+  bounds its terminals in the balanced norm too, but eigensolves the plain
+  ones, so every value, witness and tie-break is the unscaled walk's.
+* upper: max(L_j, bar^j) in the plain norm, with L_j <= M_j from a beam;
+  both floors are at most M_j, so every M_k is the full tree's.
+
+Both cuts carry the margin 1 + 1e-9, which covers the rounding of the norms,
+of R_ij = s_i / s_j and of R∘P.  A walk over at most ``_BALANCE_WORDS``
+terminal words, or one where R is identically 1, runs the unscaled cut alone.
 
 All searches, and the shortcut's rho(|A|), run on 2^-e A with 2^e just
 above max|a_ij| and scale back exactly, so products at scales like 1e-200
@@ -80,6 +96,9 @@ _CHUNK = 1 << 16
 _BLOCK = 4096
 # Interiors per level of the beam of ``_beam_floor``.
 _BEAM = 8
+# A walk over fewer terminal words runs unscaled (``_balance``): its balanced
+# bookkeeping would cost more than the balanced cut saves.
+_BALANCE_WORDS = 4096
 _TINY = np.finfo(float).tiny
 # Two values within this relative slack are treated as a tie, resolved to
 # the lexicographically earlier word.
@@ -190,24 +209,51 @@ def _batch_norms(batch, threads=1):
         raise NonConvergenceError(f"SVD did not converge on a product batch: {exc}") from exc
 
 
+def _frobenius(mag):
+    """||X||_F of each matrix of a block of |X| (scaled by its largest entry
+    first), which it overwrites."""
+    top = mag.max(axis=(1, 2))
+    mag /= np.where(top > 0, top, 1.0)[:, None, None]
+    return top * np.sqrt(np.square(mag, out=mag).sum(axis=(1, 2)))
+
+
 class _LevelNorms:
     """A level of interiors with bounds hi = ||P||_F (1 + 1e-12) >= ||P||_2 (P scaled
-    by its largest |entry| first); the SVD runs only where a decision asks, once each."""
+    by its largest |entry| first); the SVD runs only where a decision asks, once each.
 
-    def __init__(self, interior, depth, threads):
+    Given a ratio R, ``balanced`` is the level under the norms ||R∘P||_2 (a
+    ``_Balanced``, its hi from the same pass over each block); without one it is
+    the level itself.
+    """
+
+    ratio = None
+
+    def __init__(self, interior, depth, threads, ratio=None):
         self.interior, self.depth, self.threads = interior, depth, threads
         self.hi, self.exact = np.empty(len(interior)), np.full(len(interior), np.nan)
+        his = None if ratio is None else np.empty(len(interior))
         for i in range(0, len(interior), 4096):  # keeps the |P| temporary small
             mag = np.abs(interior[i : i + 4096])
-            top = mag.max(axis=(1, 2))
-            mag /= np.where(top > 0, top, 1.0)[:, None, None]
-            self.hi[i : i + 4096] = top * np.sqrt(np.square(mag, out=mag).sum(axis=(1, 2)))
+            if ratio is not None:
+                his[i : i + 4096] = _frobenius(mag * ratio)
+            self.hi[i : i + 4096] = _frobenius(mag)
         self.hi *= 1 + 1e-12
+        # No reference back from the twin: a cycle would hold the level's
+        # interiors until the cyclic garbage collector runs.
+        self._twin = None if ratio is None else _Balanced(self, ratio, his * (1 + 1e-12))
+
+    @property
+    def balanced(self):
+        return self._twin or self
+
+    def products(self, idx):
+        """The interiors ``idx`` in the level's norm."""
+        return self.interior[idx]
 
     def norms(self, idx):
         todo = idx[np.isnan(self.exact[idx])]
         if todo.size:  # repeated decisions find every norm cached
-            self.exact[todo] = _batch_norms(self.interior[todo], self.threads)
+            self.exact[todo] = _batch_norms(self.products(todo), self.threads)
         return self.exact[idx]
 
     def where(self, bound):
@@ -219,6 +265,23 @@ class _LevelNorms:
     def top(self):
         """SVD norms of every interior that can hold the level's largest norm."""
         return self.norms(np.flatnonzero(self.hi >= self.norms(np.argmax(self.hi, keepdims=True))))
+
+
+class _Balanced(_LevelNorms):
+    """The interiors of a plain level under ||R∘P||_2 = ||S P S^-1||_2, R_ij = s_i / s_j,
+    with the plain bounds as ``plain_hi``.
+
+    fl(R∘P) carries a relative entrywise error of at most 2u (R and the product
+    each round once), which the 1 + 1e-12 of ``hi`` and the cut's 1 + 1e-9 cover.
+    """
+
+    def __init__(self, plain, ratio, hi):
+        self.interior, self.depth, self.threads = plain.interior, plain.depth, plain.threads
+        self.ratio, self.plain_hi, self._twin = ratio, plain.hi, None
+        self.hi, self.exact = hi, np.full(len(hi), np.nan)
+
+    def products(self, idx):
+        return self.ratio * self.interior[idx]
 
 
 def _batch_radii(batch, threads=1):
@@ -284,7 +347,7 @@ def _terminal(interior, phases):
 
 
 def _root_bounds(level, rows, terminals):
-    """Upper bounds on rho(T)^(1/depth) for ``terminals = _terminal(level.interior[rows], phases)``.
+    """Upper bounds on rho(T)^(1/depth) for ``terminals = _terminal(level.products(rows), phases)``.
 
     rho(T)^2 = rho(T^2) <= ||T^2||_F.  T is divided by its interior's largest
     |entry| s first (a unimodular column scaling keeps |t_ij| and ||T||_F =
@@ -310,16 +373,27 @@ def _root_bounds(level, rows, terminals):
     the bar.  Only the claim that the gated walk eigensolves every terminal
     whose computed rho could win, and so matches the ungated walk bit for
     bit, is empirical.
+
+    On a ``_Balanced`` level the terminals are R∘T = S T S^-1 for the plain
+    terminals T, which are the ones eigensolved, and rho(T) = rho(S T S^-1).
+    R and the product round once each, a relative error of 2u in every entry
+    and so 4 more units of gamma.  The backward error of the plain T moves to
+    S E S^-1 with ||S E S^-1||_F <= kappa n^2 u ||T||_F =: e, kappa = max R_ij,
+    so the square bound gains 2 e ||R∘T||_F + e^2 in place of the 2n^2 + 1 units.
     """
     n, letters = terminals.shape[-1], len(terminals) // len(rows)
-    scale = np.abs(level.interior[rows]).max(axis=(1, 2))
+    scale = np.abs(level.products(rows)).max(axis=(1, 2))
     scale = np.where(scale > 0, scale, 1.0)
     scaled = terminals / np.repeat(scale, letters)[:, None, None]
     square = (scaled @ scaled).view(np.float64)  # a complex square as its real pairs
-    units = 2 * n * n + n + (5 if np.iscomplexobj(terminals) else 3)
+    units = n + (4 if np.iscomplexobj(terminals) else 2)
+    units += 2 * n * n + 1 if level.ratio is None else 4
     gamma = units * 2.0**-53 / (1 - units * 2.0**-53)
     bound = np.sqrt(np.square(square, out=square).sum(axis=(1, 2)))
     bound += gamma * np.repeat(np.square(level.hi[rows] / scale), letters)
+    if level.ratio is not None:
+        err = n * n * 2.0**-53 * level.ratio.max() * (level.plain_hi[rows] / scale)
+        bound += np.repeat(err * (2 * (level.hi[rows] / scale) + err), letters)
     root = 1.0 / level.depth
     return np.repeat(scale**root, letters) * (bound * (1 + 1e-12)) ** (root / 2)
 
@@ -328,6 +402,8 @@ def _gated_radii(level, cand, phases, bar, threads):
     """``_leaders`` of rho^(1/depth) over the terminals ``P·D`` of the interiors
     ``cand`` (``_terminal`` order), one per block, with rho = 0 where
     ``_root_bounds`` certifies rho^(1/depth) < bar (bar = -inf keeps all).
+    On a ``_Balanced`` level the bound is taken on R∘(P·D); the eigensolves
+    are always of the plain P·D, so every rho is the unscaled walk's.
 
     Terminals are built, bounded and eigensolved in blocks of about ``_BLOCK``
     rows.  The blocks run over ``threads`` when the level has more than
@@ -339,7 +415,8 @@ def _gated_radii(level, cand, phases, bar, threads):
 
     def solve(rows):
         terminals = _terminal(level.interior[rows], phases)
-        keep = _root_bounds(level, rows, terminals) >= bar
+        bounded = terminals if level.ratio is None else level.ratio * terminals
+        keep = _root_bounds(level, rows, bounded) >= bar
         radii = np.zeros(len(terminals))
         radii[keep] = _batch_radii(terminals[keep])
         return _leaders(radii ** (1.0 / level.depth))
@@ -366,20 +443,89 @@ def _normalized(m):
     return Matrix(m.field, np.ldexp(m.arr.view(np.float64), -e).view(m.arr.dtype)), e
 
 
-def _upper_bounds(s, q, best):
+def _upper_bounds(s, q, best, perron=None):
     """``(reported, certified)`` upper bounds on mu(S), S = 2^-e A (``_normalized``),
     from ``best`` = min_k M_k^(1/k) of a walk over the letters of ``_search_setup``
     (q None for sign letters).  Both are capped at rho(|S|) + 1e-10 >= mu(S), which
     holds over both fields (the Perron tolerance is relative to the unit scale of
-    S).  ``best`` bounds mu(S) only when the letters are the whole diagonal group
-    (sign letters, or n = 1); on a complex phase grid with n > 1 the certified
-    bound is the cap."""
-    cap = nonneg_spectral_radius(entrywise_abs(s), tol=1e-10).rho + 1e-10
+    S); ``perron`` is that Perron run when the caller has made it.  ``best``
+    bounds mu(S) only when the letters are the whole diagonal group (sign
+    letters, or n = 1); on a complex phase grid with n > 1 the certified bound
+    is the cap."""
+    if perron is None:
+        perron = nonneg_spectral_radius(entrywise_abs(s), tol=1e-10)
+    cap = perron.rho + 1e-10
     reported = min(best, cap)
     return reported, reported if q is None or s.n == 1 else cap
 
 
-def _levels(arr, da, max_depth, threads, floor):
+def _balance(s, perron=None):
+    """The ratio R_ij = s_i / s_j of the Perron-balanced norm x -> ||S x||_2 of
+    S = 2^-e A, or None where it would not act.
+
+    With y and x the left and right Perron vectors of |A| and s = (y / x)^(1/2),
+    S |A| S^-1 shares the Perron vector (x y)^(1/2) with its transpose, so
+    ||S |A| S^-1||_2 = rho(|A|).  S commutes with every letter D, so rho(P D) =
+    rho(S P S^-1 D) <= ||R∘P||_2 for every product P, and any positive s gives
+    valid bounds: the Perron vectors need not be accurate.  ``perron`` is the
+    run on |S| (its test vector is y); x is one step of inverse iteration,
+    (lambda I - |S|)^-1 1 at lambda = rho (1 + 2^-30) just above rho(|S|).
+    s is clipped to [2^-32, 1] of its largest entry so that R∘P stays far inside
+    the float range.  R is None when it is identically 1 (|A| symmetric, n = 1
+    or A = 0), when the Perron run does not close, or when a Perron vector is
+    not positive and finite (a reducible |A| whose vectors span more than the
+    float range).
+    """
+    b = np.abs(s.arr)
+    if np.array_equal(b, b.T):
+        return None
+    try:
+        if perron is None:
+            perron = nonneg_spectral_radius(b, tol=1e-10)
+        lam = perron.rho * (1 + 2.0**-30)
+        x = np.linalg.solve(np.diag(np.full(s.n, lam)) - b, np.ones(s.n))
+    except (NonConvergenceError, np.linalg.LinAlgError):
+        return None
+    with np.errstate(all="ignore"):
+        t = np.sqrt(perron.left_vector) / np.sqrt(x)
+    if not (np.all(np.isfinite(t)) and np.all(t > 0)):
+        return None
+    t = np.maximum(t / t.max(), 2.0**-32)
+    ratio = t[:, None] / t[None, :]
+    return None if np.all(ratio == 1.0) else ratio
+
+
+def _bound_levels(ups, top, depth, max_depth):
+    """Set U_depth = ``top`` in ``ups`` (U_1, U_2, ...) and recompute the deeper
+    U_r as min over a + b = r of U_a U_b."""
+    ups[depth - 1 :] = [top]
+    for r in range(depth + 1, max_depth - depth + 1):
+        ups.append(min(ups[a - 1] * ups[r - a - 1] for a in range(1, r)))
+
+
+def _whole_level_bound(top, dropped, ups):
+    """A bound on the norm of every product of level k = len(dropped) + 1: the
+    largest ``top`` over the level's interiors, and hi(P) U_(k-i) for every
+    level-i interior P that was not extended, ``dropped[i - 1]`` the largest
+    such hi."""
+    k = len(dropped) + 1
+    return max([top] + [h * ups[k - i - 1] for i, h in enumerate(dropped, 1)])
+
+
+def _floors(floor, depth, max_depth):
+    """floor(depth + r) for r = 1 .. max_depth - depth; a zero or subnormal floor
+    reads 0, which prunes nothing."""
+    lows = np.array([floor(j) for j in range(depth + 1, max_depth + 1)])
+    lows[lows < _TINY] = 0.0
+    return lows
+
+
+def _reaches(hi, ups, lows):
+    """Mask of hi U_r (1 + 1e-9) >= lows[r - 1] for some r."""
+    return (hi[:, None] * (np.array(ups[: len(lows)]) * (1 + 1e-9)) >= lows).any(axis=1)
+
+
+def _levels(arr, da, max_depth, threads, floor, ratio=None):
     """``(depth, _LevelNorms, rows)`` of each level of the interior tree that can
     reach ``floor``; row i of a level extends row ``rows[i // len(da)]`` of the
     previous one by ``da[i % len(da)]`` (rows is None at depth 1).
@@ -392,55 +538,97 @@ def _levels(arr, da, max_depth, threads, floor):
     is read once the caller is done with level k.  Where floor(j) <= M_j, every
     M_k and its maximizers are the full tree's (Gripenberg, *LAA* 234, 1996,
     unscaled); floor 0 walks the full tree.
+
+    Given a ratio R (``_balance``), ``floor`` is the lower side's, bar^j, and P
+    is extended if either of two cuts keeps it:
+
+    * lower: the cut against floor(j) holds both unscaled and in the balanced
+      norms ||R∘P||, since a word's rho is below both norm bounds.  S P Q S^-1 =
+      (S P S^-1)(S Q S^-1) with S Q S^-1 a level-r interior of S A S^-1, so there
+      U_r is a bound V_r on every level-r product's balanced norm: the largest
+      over the level's interiors, and hi_S(P) V_(r-k) for every level-k interior
+      P that was not extended.  V_r needs no floor below M^S_j.
+    * upper: the unscaled cut against max(L_j, floor(j)) <= M_j, with L_j from a
+      ``_beam_floor`` started at the first level whose unscaled cut keeps at
+      least 2 ``_BEAM`` interiors per level still to come (until then L_j = 0),
+      so every M_k is the full tree's.
+
+    Every level is a subset of the level of the unscaled cut against floor alone.
     """
-    interior, rows, ups = arr[None, :, :], None, []
+    interior, rows, ups, balanced_ups, dropped, beam = arr[None, :, :], None, [], [], [], None
     for depth in range(1, max_depth + 1):
         if depth > 1:
             interior = _extend(interior, da, threads)
-        level = _LevelNorms(interior, depth, threads)
+        level = _LevelNorms(interior, depth, threads, ratio)
+        # V_depth is read by the cuts of levels k <= max_depth - depth only.
+        bound_balanced = ratio is not None and 2 * depth <= max_depth
         yield depth, level, rows
-        if depth < max_depth:
-            # U_1..U_depth are exact maxima; deeper U_r are recomputed from them.
-            ups[depth - 1 :] = [float(level.top().max())]
-            for r in range(depth + 1, max_depth - depth + 1):
-                ups.append(min(ups[a - 1] * ups[r - a - 1] for a in range(1, r)))
-            keep = np.zeros(len(level.hi), dtype=bool)
-            for r in range(1, max_depth - depth + 1):
-                low = floor(depth + r)
-                keep |= level.hi * (ups[r - 1] * (1 + 1e-9)) >= (low if low >= _TINY else 0.0)
-            rows = np.flatnonzero(keep)
-            interior = interior[rows]
+        if depth == max_depth:
+            break
+        _bound_levels(ups, float(level.top().max()), depth, max_depth)
+        lows = _floors(floor, depth, max_depth)
+        keep = _reaches(level.hi, ups, lows)
+        if ratio is not None:
+            if bound_balanced:
+                top = _whole_level_bound(float(level.balanced.top().max()), dropped, balanced_ups)
+                _bound_levels(balanced_ups, top, depth, max_depth)
+            if beam is None and np.count_nonzero(keep) >= 2 * _BEAM * (max_depth - depth):
+                beam = _beam_floor(interior[np.argsort(-level.hi)[:_BEAM]], da, max_depth, threads, depth)
+            if beam is not None:  # without a beam the lower cut keeps a subset of keep
+                keep = (keep & _reaches(level.balanced.hi, balanced_ups, lows)) | _reaches(
+                    level.hi, ups, np.maximum(lows, _floors(beam, depth, max_depth)))
+            if bound_balanced:
+                dropped.append(float(level.balanced.hi[~keep].max(initial=0.0)))
+        rows = np.flatnonzero(keep)
+        interior = interior[rows]
 
 
-def _beam_floor(arr, da, max_depth, threads):
-    """A floor for ``_levels`` with floor(j) <= M_j: the norm L_j of the interior
-    of largest hi on level j of a beam that extends the ``_BEAM`` interiors of
-    largest hi of each level."""
-    lows, interior = [], arr[None, :, :]
-    for depth in range(1, max_depth + 1):
-        level = _LevelNorms(interior, depth, threads)
-        lows.append(float(level.norms(np.argmax(level.hi, keepdims=True))[0]))
-        interior = _extend(interior[np.argsort(-level.hi)[:_BEAM]], da, threads)
-    return lambda j: lows[j - 1]
+def _beam_floor(arr, da, max_depth, threads, depth=1):
+    """A floor for ``_levels`` with floor(j) <= M_j for j >= ``depth``: the norm L_j
+    of the interior of largest hi on level j of a beam that extends the ``_BEAM``
+    interiors of largest hi of each level, from the level-``depth`` interiors
+    ``arr`` (the root A at depth 1).  The L_j take one batched SVD."""
+    tops, interior = [], arr.reshape(-1, *arr.shape[-2:])
+    for k in range(depth, max_depth + 1):
+        if k > depth:
+            interior = _extend(interior[np.argsort(-hi)[:_BEAM]], da, threads)
+        hi = _LevelNorms(interior, k, threads).hi
+        tops.append(interior[np.argmax(hi)])
+    lows = _batch_norms(np.stack(tops), threads)
+    return lambda j: float(lows[j - depth])
 
 
-def _walk(m, max_depth, grid_q, threads):
-    """``(lower, witness, upper, nodes)`` of one walk; see the module docstring."""
+def _walk(m, max_depth, grid_q, threads, perron=None):
+    """``(lower, witness, upper, nodes)`` of one walk; see the module docstring.
+
+    With a balanced ratio R (``_balance``; ``perron`` is the caller's Perron run
+    on |S|, if any), the lower side takes as candidates the interiors with
+    ||R∘P||^(1/depth) >= bar and bounds their terminals on R∘T (``_root_bounds``),
+    and ``_levels`` cuts the lower side in both norms against bar^j and the upper
+    side in the plain norm against max(L_j, bar^j).  The cuts' margin 1 + 1e-9
+    covers every rounding they meet: hi over-estimates a norm by at most
+    1 + 1e-12; fl(R∘P) is within 2u of S P S^-1 in each entry, so within
+    2u n^(1/2) relative in the 2-norm; the SVD norms are within a small multiple
+    of n u, and the products U_a U_b and the powers bar^j within depth u, all
+    far below 1e-9 at any depth the node budget admits.
+    """
     q, exponents, phases, arr, da = _search_setup(m, grid_q, max_depth)
     size = len(phases)
     best, bar, best_flat, best_depth = -np.inf, -np.inf, 0, 1
     upper, nodes, words = np.inf, 0, np.zeros(1, dtype=np.int64)
-    for depth, level, rows in _levels(arr, da, max_depth, threads, lambda j: max(bar, 0.0) ** j):
+
+    ratio = _balance(m, perron) if size**max_depth > _BALANCE_WORDS else None
+    for depth, level, rows in _levels(arr, da, max_depth, threads, lambda j: max(bar, 0.0) ** j, ratio):
         if depth > 1:  # the full-tree indices of the level's interiors
             words = (words[rows][:, None] * size + np.arange(size)).ravel()
-        # Lower: rho(P D) <= ||P D|| = ||P||, so only the prefixes whose norm
+        # Lower: rho(P D) <= ||R∘P||, so only the prefixes whose balanced norm
         # reaches the best value within twice the tie slack are extended by a
         # letter, and only the terminals whose square bound reaches it are
         # eigensolved.  A word below that bar cannot tie with an improvement.
         nodes += size**depth
-        cand = np.flatnonzero(level.where(bar))
+        cand = np.flatnonzero(level.balanced.where(bar))
         if cand.size:
-            first, value = _first_within_tie(_gated_radii(level, cand, phases, bar, threads))
+            first, value = _first_within_tie(_gated_radii(level.balanced, cand, phases, bar, threads))
             if _improves(value, best):
                 best, best_depth = value, depth
                 best_flat = int(words[cand[first // size]]) * size + first % size
@@ -545,8 +733,9 @@ def mu_bounds(
                 upper_heuristic=False,
             )
 
-    lower, witness, best, nodes = _walk(s, max_depth, grid_q, threads)
-    upper, certified = _upper_bounds(s, report_q, best)
+    perron = nonneg_spectral_radius(entrywise_abs(s), tol=1e-10)
+    lower, witness, best, nodes = _walk(s, max_depth, grid_q, threads, perron)
+    upper, certified = _upper_bounds(s, report_q, best, perron)
     heuristic = upper < certified
     lower, upper = lower * 2.0**e, upper * 2.0**e
     # A word's rho and its 2-norm may round apart by an ulp when they are

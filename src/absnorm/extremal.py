@@ -104,6 +104,13 @@ class TruncatedExtremalNorm:
             raise ValueError(f"truncation depth m must be a nonnegative integer, got {self.m!r}")
         _check_grid_q(self.grid_q)
         s, e = _normalized(self.matrix)
+        c = self.c * 2.0**-e
+        # c^-k must stay a normal float (binary exponent within +-1022) for k <= m + 1.
+        if c == 0.0 or (self.m + 1) * abs(math.log2(c)) >= 1022:
+            raise ValueError(
+                f"scale c {self.c!r} is too far from the matrix scale: c^k leaves "
+                f"the float range for some k <= {self.m + 1}"
+            )
         q, _, _, arr, factors = _search_setup(Matrix(s.field, s.arr.T), self.grid_q, self.m)
         # Exact maxima M_k of the tree of A^T (the transposes of A's interiors)
         # while a level fits one chunk, to depth m + 1 and at least 4 for the
@@ -116,7 +123,6 @@ class TruncatedExtremalNorm:
         certified = _upper_bounds(s, q, best)[1] * 2.0**e
         for r in range(exact + 1, self.m + 2):
             top.append(min(top[a - 1] * top[r - a - 1] for a in range(1, r)))
-        c = self.c * 2.0**-e
         bound = np.maximum.accumulate(np.array(top[: self.m + 1]) * c ** -np.arange(1.0, self.m + 2))
         object.__setattr__(self, "certified_upper", certified)
         object.__setattr__(self, "c_below_certified_upper", self.c <= certified)

@@ -47,7 +47,8 @@ class Matrix:
         Either ``"real"`` or ``"complex"``.
     arr : numpy.ndarray
         The (n, n) entry array, float64 for real and complex128 for
-        complex matrices.  The array is frozen (read-only).
+        complex matrices, C-ordered whatever the input's layout.  The
+        array is frozen (read-only).
     """
 
     field: str
@@ -64,9 +65,9 @@ class Matrix:
                 if np.any(arr.imag != 0):
                     raise ValueError("real matrix has nonzero imaginary parts")
                 arr = arr.real
-            arr = arr.astype(np.float64, copy=True)
+            arr = arr.astype(np.float64, order="C", copy=True)
         elif self.field == COMPLEX:
-            arr = arr.astype(np.complex128, copy=True)
+            arr = arr.astype(np.complex128, order="C", copy=True)
         else:
             raise ValueError(f"unknown field tag {self.field!r}")
         if not np.all(np.isfinite(arr)):

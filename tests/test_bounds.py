@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -533,12 +534,14 @@ class TestGrowthCondition:
 
 
 def on_full_tree(module, fn):
-    """``fn()`` with ``module._levels`` walking the full tree (floor 0)."""
+    """``fn()`` with ``module._levels`` walking the full tree (floor 0) in the
+    plain norm: a balanced ratio and its floor are dropped, so the lower side
+    gates its terminals unscaled as well."""
     import absnorm.bounds as bounds_mod
 
     levels = bounds_mod._levels
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_levels", lambda arr, da, depth, threads, floor: levels(
+        patch.setattr(module, "_levels", lambda arr, da, depth, threads, floor, *balanced: levels(
             arr, da, depth, threads, lambda j: 0.0))
         return fn()
 
@@ -939,6 +942,356 @@ class TestWalk:
             assert (scaled.nodes_visited, scaled.exact) == (base.nodes_visited, base.exact)
 
 
+def _sweep_cases():
+    """(A, grid_q, depth): a seeded sweep over the inputs the balanced cut meets."""
+    cases = [(f"walk_{kind}", _walk_case(kind), q, depth) for kind, q, depth in (
+        ("random", 2, 5), ("deep", 2, 6), ("integer", 2, 4), ("nilpotent", 2, 4), ("zero", 2, 3),
+        ("triangular", 2, 4), ("hadamard", 2, 4), ("complex", 4, 4))]
+    rng = np.random.default_rng(70)
+    for i in range(40):
+        n = 2 + i % 4
+        cases.append((f"real{i}", rng.standard_normal((n, n)), 2, (8, 6, 5, 4)[n - 2]))
+    for i in range(14):
+        n = 2 + i % 2
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cases.append((f"complex{i}", z, 4, (5, 3)[n - 2]))
+    for i in range(15):  # permuted block-triangular, every third complex
+        q, n, depth = (4, 3, 3) if i % 3 == 2 else (2, 3 + i % 3, 5)
+        b = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if q == 4 else 0.0)
+        k = 1 + i % (n - 1)
+        b[k:, :k] = 0.0
+        perm = rng.permutation(n)
+        cases.append((f"block_triangular{i}", b[perm][:, perm], q, depth))
+    for i in range(6):
+        t = np.triu(rng.standard_normal((3 + i % 2, 3 + i % 2)))
+        cases.append((f"triangular{i}", t, 2, 4) if i < 4 else (f"triangular_q4_{i}", t[:3, :3], 4, 3))
+    b = rng.standard_normal((3, 3))
+    cases += [
+        ("1x1", np.array([[-1.5]]), 2, 6),
+        ("1x1_complex", np.array([[0.6 + 0.8j]]), 4, 4),
+        ("zero", np.zeros((3, 3)), 2, 4),
+        ("identity", np.eye(3), 2, 4),
+        ("minus_identity", -np.eye(3), 2, 4),
+        ("hadamard", HADAMARD, 2, 6),
+        ("hadamard4", np.kron(HADAMARD, HADAMARD), 2, 4),
+        ("tiny", 1e-200 * b, 2, 6),
+        ("huge", 1e100 * b, 2, 6),
+        ("tiny_hadamard", 1e-200 * HADAMARD, 2, 4),
+        ("huge_hadamard", 1e100 * HADAMARD, 2, 4),
+    ]
+    cases += [(p.id[len("walk_"):], *p.values) for p in _bounds_walk_cases() if "similar" in p.id]
+    return [pytest.param(a, q, depth, id=name) for name, a, q, depth in cases]
+
+
+def _bench_search_inputs():
+    """The benchmark's ``search`` jobs at seed 1 as (A, grid_q, depth)."""
+    import sys
+    from pathlib import Path
+
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    inputs = workloads.make_inputs("search", 1)
+    return [(name, inputs[name], q, depth) for name, _, depth, q in workloads.SEARCH_JOBS]
+
+
+def _walk_results(a, grid_q, depth, monkeypatch):
+    """Every walk result the balanced cut must leave unchanged, as strings."""
+    import absnorm.bounds as bounds_mod
+
+    out = []
+    for threads in (1, 2):
+        report = mu_bounds(a, depth, grid_q=grid_q, threads=threads, use_shortcut=False)
+        out.append(json.dumps(bounds_report_to_json(report)))
+        value, word = mu_lower_bound(a, depth, grid_q=grid_q, threads=threads)
+        out.append(repr((value, word_to_json(word))))
+        out.append(repr(mu_upper_bound(a, depth, grid_q=grid_q, threads=threads)))
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds_mod, "_CHUNK", 7)
+        out.append(repr(mu_upper_bound(a, depth, grid_q=grid_q, threads=2)))
+    return out
+
+
+def _unscaled(monkeypatch):
+    """Force every walk to run without a balanced ratio, as before the balanced cut."""
+    import absnorm.bounds as bounds_mod
+
+    monkeypatch.setattr(bounds_mod, "_balance", lambda s, perron=None: None)
+
+
+class TestBalancedCut:
+    """The walk cuts its lower side in the Perron-balanced norm ||S.||_2 and its
+    upper side against a beam floor; every report is the unscaled walk's."""
+
+    @pytest.mark.parametrize("a, grid_q, depth", _sweep_cases())
+    def test_reports_match_unscaled_walk(self, monkeypatch, a, grid_q, depth):
+        import absnorm.bounds as bounds_mod
+
+        monkeypatch.setattr(bounds_mod, "_BALANCE_WORDS", 0)  # balance even the small trees
+        got = _walk_results(a, grid_q, depth, monkeypatch)
+        _unscaled(monkeypatch)
+        assert got == _walk_results(a, grid_q, depth, monkeypatch)
+
+    def test_bench_search_jobs_match_unscaled_walk(self, monkeypatch):
+        for name, a, grid_q, depth in _bench_search_inputs():
+            with monkeypatch.context() as patch:
+                got = _walk_results(a, grid_q, depth, patch)
+                _unscaled(patch)
+                assert got == _walk_results(a, grid_q, depth, patch), name
+
+    def test_sweep_takes_the_balanced_cut(self, monkeypatch):
+        # Most of the sweep gets a ratio, and its bigger walks a beam.
+        import absnorm.bounds as bounds_mod
+
+        balance, beam, ratios, beams = bounds_mod._balance, bounds_mod._beam_floor, [], []
+
+        def balancing(s, perron=None):
+            ratio = balance(s, perron)
+            ratios.append(ratio is not None)
+            return ratio
+
+        def beaming(*args):
+            beams.append(args[-1])
+            return beam(*args)
+
+        monkeypatch.setattr(bounds_mod, "_BALANCE_WORDS", 0)
+        monkeypatch.setattr(bounds_mod, "_balance", balancing)
+        monkeypatch.setattr(bounds_mod, "_beam_floor", beaming)
+        for param in _sweep_cases():
+            a, grid_q, depth = param.values
+            mu_lower_bound(a, depth, grid_q=grid_q)
+        assert sum(ratios) >= 70 and len(beams) >= 30
+
+    def test_cli_json_matches_unscaled_walk(self, monkeypatch, capsys, tmp_path):
+        from absnorm import as_matrix, matrix_to_json
+        from absnorm.cli import main
+
+        name, a, _, depth = _bench_search_inputs()[1]  # the (4, 6) job
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(matrix_to_json(as_matrix(a))))
+
+        def outputs():
+            got = []
+            for threads in (1, 2):
+                assert main(["mu", str(path), "--depth", str(depth), "--threads", str(threads),
+                             "--format", "json"]) == 0
+                got.append(capsys.readouterr().out)
+            return got
+
+        one, two = outputs()
+        assert one == two
+        _unscaled(monkeypatch)
+        assert outputs() == [one, one]
+
+    def test_balanced_norm_of_a_is_rho_abs(self):
+        # S |A| S^-1 shares its Perron vector with its transpose, so
+        # ||R∘A||_2 <= ||R∘|A|||_2 = rho(|A|).
+        import absnorm.bounds as bounds_mod
+        from absnorm import nonneg_spectral_radius
+
+        rng = np.random.default_rng(71)
+        for i in range(60):
+            n = 2 + i % 6
+            a = rng.standard_normal((n, n))
+            if i % 3 == 0:
+                a = a + 1j * rng.standard_normal((n, n))
+            s, _ = bounds_mod._normalized(as_matrix(a))
+            ratio = bounds_mod._balance(s)
+            rho = nonneg_spectral_radius(np.abs(s.arr), tol=1e-10).rho
+            assert ratio is not None, i
+            assert np.linalg.norm(ratio * s.arr, 2) <= np.linalg.norm(ratio * np.abs(s.arr), 2)
+            assert np.linalg.norm(ratio * np.abs(s.arr), 2) <= rho * (1 + 1e-12), i
+
+    @pytest.mark.parametrize("a", [
+        HADAMARD, np.kron(HADAMARD, HADAMARD), np.zeros((3, 3)), np.array([[2.0]]),
+        -np.eye(3), np.diag([1.0, -2.0, 3.0])[[2, 0, 1]][:, [2, 0, 1]],
+    ], ids=["hadamard", "hadamard4", "zero", "1x1", "minus_identity", "permuted_diagonal"])
+    def test_no_ratio_where_it_is_one(self, a):
+        import absnorm.bounds as bounds_mod
+
+        s, _ = bounds_mod._normalized(as_matrix(a))
+        assert bounds_mod._balance(s) is None
+
+    def test_no_ratio_without_positive_perron_vectors(self):
+        # A Perron vector with a zero entry, and a chain whose Perron run
+        # does not close, fall back to the unscaled walk.
+        import absnorm.bounds as bounds_mod
+        from absnorm.perron import PerronResult
+
+        s, _ = bounds_mod._normalized(as_matrix([[0.5, 0.25], [0.0, 0.75]]))
+        dead = PerronResult(0.75, np.array([0.0, 1.0]), 1, (0.75, 0.75))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert bounds_mod._balance(s, dead) is None
+            chain, _ = bounds_mod._normalized(as_matrix(0.9 * np.eye(40, k=1)))
+            assert bounds_mod._balance(chain) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reducible_inputs_clip_the_ratio(self, monkeypatch, seed):
+        # Block-triangular |A|: the ratio spans at most 2^32 either way, and
+        # the reports are the unscaled walk's, with no RuntimeWarning.
+        import absnorm.bounds as bounds_mod
+
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((4, 4))
+        b[2:, :2] = 0.0
+        b[:2, :2] *= 1e-12
+        perm = rng.permutation(4)
+        a = b[perm][:, perm]
+        s, _ = bounds_mod._normalized(as_matrix(a))
+        ratio = bounds_mod._balance(s)
+        assert ratio is not None
+        assert 2.0**-32 <= ratio.min() and ratio.max() <= 2.0**32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _walk_results(a, 2, 5, monkeypatch)
+            _unscaled(monkeypatch)
+            assert got == _walk_results(a, 2, 5, monkeypatch)
+
+    def test_balanced_level_bounds_cover_the_full_tree(self, monkeypatch):
+        # Every V_r the balanced cut reads bounds ||R∘Q||_2 over the whole of
+        # level r, the interiors below dropped prefixes included.
+        import absnorm.bounds as bounds_mod
+
+        levels, reads, level_norms, reaches = [], [], bounds_mod._LevelNorms, bounds_mod._reaches
+
+        class Recording(level_norms):
+            def __init__(self, *args):
+                super().__init__(*args)
+                levels.append(self)
+
+        def reading(hi, ups, lows):
+            if any(hi is level.balanced.hi and level.ratio is None and level._twin is not None
+                   for level in levels):
+                reads.append(list(ups[: len(lows)]))
+            return reaches(hi, ups, lows)
+
+        monkeypatch.setattr(bounds_mod, "_BALANCE_WORDS", 0)
+        monkeypatch.setattr(bounds_mod, "_LevelNorms", Recording)
+        monkeypatch.setattr(bounds_mod, "_reaches", reading)
+        cases = [param.values for param in _sweep_cases()][8:48]
+        cases += [(a, q, depth) for _, a, q, depth in _bench_search_inputs()]
+        checked = 0
+        for a, grid_q, depth in cases:
+            levels.clear()
+            reads.clear()
+            mu_lower_bound(a, depth, grid_q=grid_q)
+            s, _ = bounds_mod._normalized(as_matrix(a))
+            ratio = bounds_mod._balance(s)
+            if not reads:
+                continue
+            _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, depth)
+            tops = []
+            for _, level, _ in bounds_mod._levels(arr, da, max(len(r) for r in reads), 1, lambda j: 0.0):
+                tops.append(bounds_mod._batch_norms(ratio * level.interior).max())
+            for bound in reads:
+                assert all(v >= t * (1 - 1e-12) for v, t in zip(bound, tops))
+            checked += 1
+        assert checked >= 30
+
+    def test_whole_level_bound_covers_dropped_prefixes(self):
+        # Level 3: its own largest norm 1, and level-2 prefixes of hi 3 that
+        # were dropped, whose children reach 3 U_1 = 6.
+        import absnorm.bounds as bounds_mod
+
+        assert bounds_mod._whole_level_bound(1.0, [0.0, 3.0], [2.0, 5.0]) == 6.0
+        assert bounds_mod._whole_level_bound(7.0, [0.0, 3.0], [2.0, 5.0]) == 7.0
+        assert bounds_mod._whole_level_bound(0.5, [], []) == 0.5
+
+    @staticmethod
+    def _interiors(monkeypatch, a, depth):
+        import absnorm.bounds as bounds_mod
+
+        built, level_norms = [], bounds_mod._LevelNorms
+
+        class Counting(level_norms):
+            def __init__(self, interior, *args):
+                built.append(len(interior))
+                super().__init__(interior, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds_mod, "_LevelNorms", Counting)
+            report = mu_bounds(a, depth, use_shortcut=False)
+        return sum(built), report
+
+    def test_balanced_walk_builds_few_interiors(self, monkeypatch):
+        # Beam included, the balanced walk builds 2,641 interiors where the
+        # unscaled walk builds 8,273.
+        a = np.random.default_rng(31).standard_normal((4, 4))
+        balanced, report = self._interiors(monkeypatch, a, 6)
+        _unscaled(monkeypatch)
+        unscaled, expected = self._interiors(monkeypatch, a, 6)
+        assert report == expected
+        assert balanced <= 0.4 * unscaled
+
+    def test_never_more_interiors_on_the_bench_jobs(self, monkeypatch):
+        import absnorm.bounds as bounds_mod
+
+        rows, extend = [], bounds_mod._extend
+
+        def counting(batch, factors, threads=1):
+            rows.append(len(batch) * len(factors))
+            return extend(batch, factors, threads)
+
+        def walk_rows(a, grid_q, depth):
+            rows.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds_mod, "_beam_floor", beam_floor)  # the beam's rows are not the walk's
+                patch.setattr(bounds_mod, "_extend", counting)
+                mu_bounds(a, depth, grid_q=grid_q)
+            return sum(rows)
+
+        def beam_floor(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds_mod, "_extend", extend)
+                return plain_beam(*args)
+
+        plain_beam = bounds_mod._beam_floor
+        for name, a, grid_q, depth in _bench_search_inputs():
+            balanced = walk_rows(a, grid_q, depth)
+            with monkeypatch.context() as patch:
+                _unscaled(patch)
+                unscaled = walk_rows(a, grid_q, depth)
+            assert balanced <= unscaled, name
+            if name == "search.n4d6":
+                assert balanced < 10_000 < unscaled
+
+
+class TestLayouts:
+    """A matrix that is not C-contiguous gives the results of its contiguous copy."""
+
+    @staticmethod
+    def _results(a, grid_q):
+        from absnorm import build_norm, eval_norm, sign_equivalent_to_abs
+
+        report = mu_bounds(a, 3, grid_q=grid_q)
+        lower, word = mu_lower_bound(a, 3, grid_q=grid_q)
+        upper = mu_upper_bound(a, 3, grid_q=grid_q)
+        growth = check_growth_condition(a, GrowthQuery(eps=0.1, m=3), grid_q=grid_q)
+        norm = build_norm(a, c=2.0 * report.upper, m=2, grid_q=grid_q)
+        x = np.arange(1.0, len(a) + 1.0)
+        return (
+            json.dumps(bounds_report_to_json(report)), lower, word_to_json(word), upper, growth,
+            norm.certified_upper, norm._subtree.tolist(), eval_norm(norm, x),
+            repr(sign_equivalent_to_abs(a)),
+        )
+
+    @pytest.mark.parametrize("layout", ["transpose", "fortran"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_every_entry_point(self, layout, field):
+        rng = np.random.default_rng(72)
+        z = rng.standard_normal((3, 3))
+        if field == "complex":
+            z = z + 1j * rng.standard_normal((3, 3))
+        a = z.T if layout == "transpose" else np.asfortranarray(z)
+        assert not a.flags.c_contiguous
+        grid_q = 4 if field == "complex" else 2
+        assert self._results(a, grid_q) == self._results(np.ascontiguousarray(a), grid_q)
+
+
 def _whole_array_tie(values):
     """The tie rule over one whole array: the oracle for the streamed one."""
     vmax = float(values.max())
@@ -1052,6 +1405,29 @@ class TestSquareBound:
             bound = bounds_mod._root_bounds(level, rows, terminals)
             assert np.all(np.isfinite(bound))
             assert np.all(bound ** depth >= radii)
+
+    @pytest.mark.parametrize("kind", sorted(_square_bound_batches()))
+    def test_balanced_bound_dominates_plain_eigvals(self, kind):
+        # On a balanced level the bound is taken on R∘T and must still cover
+        # the eigenvalues computed from the plain T, whose backward error R
+        # can magnify by up to max R_ij.
+        import absnorm.bounds as bounds_mod
+        from absnorm.diagonals import _alphabet
+
+        interior = _square_bound_batches()[kind]
+        n = interior.shape[-1]
+        phases = _alphabet(n, 4 if np.iscomplexobj(interior) else None, True)[1][:4]
+        terminals = bounds_mod._terminal(interior, phases)
+        radii = np.abs(np.linalg.eigvals(terminals)).max(axis=-1)
+        rows = np.arange(len(interior))
+        for spread in (1.0, 1e3):
+            s = spread ** np.linspace(-0.5, 0.5, n)
+            ratio = s[:, None] / s[None, :]
+            for depth in (1, 3):
+                level = bounds_mod._LevelNorms(interior, depth, 1, ratio).balanced
+                bound = bounds_mod._root_bounds(level, rows, ratio * terminals)
+                assert np.all(np.isfinite(bound))
+                assert np.all(bound ** depth >= radii)
 
     def test_jordan_blocks(self):
         import absnorm.bounds as bounds_mod

@@ -118,6 +118,29 @@ class TestBuild:
             x = rng.standard_normal(2)
             assert eval_norm(norm, x) == pytest.approx(np.linalg.norm(x), rel=1e-15)
 
+    def test_scale_out_of_float_range_is_refused(self):
+        # 2^-e c = 1e-100 / 2: c^-4 would overflow, and raised a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="too far from the matrix scale"):
+                build_norm([[1, 1], [1, -1]], c=1e-100, m=3)
+
+    @pytest.mark.parametrize("c, m, fits", [
+        (2.0**-255, 3, True), (2.0**-256, 3, False), (2.0**255, 3, True), (2.0**256, 3, False),
+        (2.0**-1021, 0, True), (2.0**-1022, 0, False),
+    ])
+    def test_scale_boundary(self, c, m, fits):
+        # max|a_ij| = 0.5 leaves c unscaled; c^-k must be normal for k <= m + 1.
+        a = as_matrix(0.5 * HADAMARD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if fits:
+                norm = TruncatedExtremalNorm(a, c, m, 2)
+                assert np.all(np.isfinite(norm._subtree))
+            else:
+                with pytest.raises(ValueError, match=f"k <= {m + 1}"):
+                    TruncatedExtremalNorm(a, c, m, 2)
+
     def test_capacity_refusal(self):
         from absnorm import CapacityError
 

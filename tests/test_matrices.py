@@ -174,6 +174,15 @@ class TestMatrixType:
         widened = as_matrix(as_matrix([[2.0]]), field="complex")
         assert widened.field == "complex"
 
+    @pytest.mark.parametrize("layout", ["transpose", "fortran", "strided"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stored_c_contiguous(self, layout, dtype):
+        base = np.arange(1.0, 26.0).reshape(5, 5).astype(dtype) * (1 + 1j if dtype is complex else 1)
+        a = {"transpose": base.T, "fortran": np.asfortranarray(base), "strided": base[::2, ::2]}[layout]
+        m = as_matrix(a)
+        assert m.arr.flags.c_contiguous
+        assert np.array_equal(m.arr, a)
+
     def test_n1_degenerate(self):
         assert spectral_radius([[-4.0]]) == pytest.approx(4.0)
         assert spectral_norm([[-4.0]]) == pytest.approx(4.0)

@@ -36,16 +36,18 @@ tree's.  Growth and the extremal norm take their floor from a narrow beam.
   S = diag((y / x)^(1/2)) from the left and right Perron vectors y and x of
   |A| (``_balance``).  S commutes with every letter, so rho(P D) <=
   ||S P S^-1|| for every word; ||S |A| S^-1||_2 = rho(|A|), which puts the
-  balanced norms closer to mu(A) than the plain ones on most inputs.  No
-  word of a dropped prefix reaches the bar, and the lower side gates and
-  bounds its terminals in the balanced norm too, but eigensolves the plain
-  ones, so every value, witness and tie-break is the unscaled walk's.
+  balanced norms closer to mu(A) than the plain ones on most inputs.  In
+  the balanced norm the r levels below P are bounded by ||R∘A||_2^r, as
+  S D A S^-1 = D (R∘A) for every letter D.  No word of a dropped prefix
+  reaches the bar, and the lower side gates and bounds its terminals in the
+  balanced norm too, but eigensolves the plain ones, so every value,
+  witness and tie-break is the unscaled walk's.
 * upper: max(L_j, bar^j) in the plain norm, with L_j <= M_j from a beam;
   both floors are at most M_j, so every M_k is the full tree's.
 
 Both cuts carry the margin 1 + 1e-9, which covers the rounding of the norms,
-of R_ij = s_i / s_j and of R∘P.  A walk over at most ``_BALANCE_WORDS``
-terminal words, or one where R is identically 1, runs the unscaled cut alone.
+of R_ij = s_i / s_j, of R∘P and of the powers of ||R∘A||_2.  A walk without
+a ratio (``_balance`` returns None) runs the unscaled cut alone.
 
 All searches, and the shortcut's rho(|A|), run on 2^-e A with 2^e just
 above max|a_ij| and scale back exactly, so products at scales like 1e-200
@@ -96,9 +98,6 @@ _CHUNK = 1 << 16
 _BLOCK = 4096
 # Interiors per level of the beam of ``_beam_floor``.
 _BEAM = 8
-# A walk over fewer terminal words runs unscaled (``_balance``): its balanced
-# bookkeeping would cost more than the balanced cut saves.
-_BALANCE_WORDS = 4096
 _TINY = np.finfo(float).tiny
 # Two values within this relative slack are treated as a tie, resolved to
 # the lexicographically earlier word.
@@ -503,15 +502,6 @@ def _bound_levels(ups, top, depth, max_depth):
         ups.append(min(ups[a - 1] * ups[r - a - 1] for a in range(1, r)))
 
 
-def _whole_level_bound(top, dropped, ups):
-    """A bound on the norm of every product of level k = len(dropped) + 1: the
-    largest ``top`` over the level's interiors, and hi(P) U_(k-i) for every
-    level-i interior P that was not extended, ``dropped[i - 1]`` the largest
-    such hi."""
-    k = len(dropped) + 1
-    return max([top] + [h * ups[k - i - 1] for i, h in enumerate(dropped, 1)])
-
-
 def _floors(floor, depth, max_depth):
     """floor(depth + r) for r = 1 .. max_depth - depth; a zero or subnormal floor
     reads 0, which prunes nothing."""
@@ -544,10 +534,8 @@ def _levels(arr, da, max_depth, threads, floor, ratio=None):
 
     * lower: the cut against floor(j) holds both unscaled and in the balanced
       norms ||R∘P||, since a word's rho is below both norm bounds.  S P Q S^-1 =
-      (S P S^-1)(S Q S^-1) with S Q S^-1 a level-r interior of S A S^-1, so there
-      U_r is a bound V_r on every level-r product's balanced norm: the largest
-      over the level's interiors, and hi_S(P) V_(r-k) for every level-k interior
-      P that was not extended.  V_r needs no floor below M^S_j.
+      (S P S^-1)(S Q S^-1) with S Q S^-1 a product of r factors S D A S^-1 of
+      norm ||R∘A||, so there U_r is V_r = ||R∘A||^r, which needs no floor.
     * upper: the unscaled cut against max(L_j, floor(j)) <= M_j, with L_j from a
       ``_beam_floor`` started at the first level whose unscaled cut keeps at
       least 2 ``_BEAM`` interiors per level still to come (until then L_j = 0),
@@ -555,13 +543,13 @@ def _levels(arr, da, max_depth, threads, floor, ratio=None):
 
     Every level is a subset of the level of the unscaled cut against floor alone.
     """
-    interior, rows, ups, balanced_ups, dropped, beam = arr[None, :, :], None, [], [], [], None
+    interior, rows, ups, beam = arr[None, :, :], None, [], None
+    if ratio is not None:  # V_r for r = 1 .. max_depth - 1
+        powers = _batch_norms((ratio * arr)[None], threads)[0] ** np.arange(1, max_depth)
     for depth in range(1, max_depth + 1):
         if depth > 1:
             interior = _extend(interior, da, threads)
         level = _LevelNorms(interior, depth, threads, ratio)
-        # V_depth is read by the cuts of levels k <= max_depth - depth only.
-        bound_balanced = ratio is not None and 2 * depth <= max_depth
         yield depth, level, rows
         if depth == max_depth:
             break
@@ -569,16 +557,11 @@ def _levels(arr, da, max_depth, threads, floor, ratio=None):
         lows = _floors(floor, depth, max_depth)
         keep = _reaches(level.hi, ups, lows)
         if ratio is not None:
-            if bound_balanced:
-                top = _whole_level_bound(float(level.balanced.top().max()), dropped, balanced_ups)
-                _bound_levels(balanced_ups, top, depth, max_depth)
             if beam is None and np.count_nonzero(keep) >= 2 * _BEAM * (max_depth - depth):
                 beam = _beam_floor(interior[np.argsort(-level.hi)[:_BEAM]], da, max_depth, threads, depth)
             if beam is not None:  # without a beam the lower cut keeps a subset of keep
-                keep = (keep & _reaches(level.balanced.hi, balanced_ups, lows)) | _reaches(
+                keep = (keep & _reaches(level.balanced.hi, powers, lows)) | _reaches(
                     level.hi, ups, np.maximum(lows, _floors(beam, depth, max_depth)))
-            if bound_balanced:
-                dropped.append(float(level.balanced.hi[~keep].max(initial=0.0)))
         rows = np.flatnonzero(keep)
         interior = interior[rows]
 
@@ -609,15 +592,15 @@ def _walk(m, max_depth, grid_q, threads, perron=None):
     covers every rounding they meet: hi over-estimates a norm by at most
     1 + 1e-12; fl(R∘P) is within 2u of S P S^-1 in each entry, so within
     2u n^(1/2) relative in the 2-norm; the SVD norms are within a small multiple
-    of n u, and the products U_a U_b and the powers bar^j within depth u, all
-    far below 1e-9 at any depth the node budget admits.
+    of n u, and the products U_a U_b and the powers ||R∘A||^r and bar^j within
+    depth u, all far below 1e-9 at any depth the node budget admits.
     """
     q, exponents, phases, arr, da = _search_setup(m, grid_q, max_depth)
     size = len(phases)
     best, bar, best_flat, best_depth = -np.inf, -np.inf, 0, 1
     upper, nodes, words = np.inf, 0, np.zeros(1, dtype=np.int64)
 
-    ratio = _balance(m, perron) if size**max_depth > _BALANCE_WORDS else None
+    ratio = _balance(m, perron)
     for depth, level, rows in _levels(arr, da, max_depth, threads, lambda j: max(bar, 0.0) ** j, ratio):
         if depth > 1:  # the full-tree indices of the level's interiors
             words = (words[rows][:, None] * size + np.arange(size)).ravel()
@@ -784,7 +767,7 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     s, e = _normalized(m)
     c_s = c * 2.0**-e
     # c_s^k must stay a normal float (binary exponent within +-1022) for k <= m.
-    if query.m * abs(math.log2(c_s)) >= 1022:
+    if c_s == 0.0 or query.m * abs(math.log2(c_s)) >= 1022:
         raise ValueError(
             f"growth threshold {c!r} is too far from the matrix scale: c^k leaves "
             f"the float range for some k <= {query.m}"

@@ -124,8 +124,13 @@ def matrix_from_json(data) -> Matrix:
         raise ValueError(f"matrix JSON missing key {exc}") from None
     if field not in (REAL, COMPLEX):
         raise ValueError(f"unknown field tag {field!r}")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DimensionError(f"dimension must be a positive integer, got {n!r}")
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"matrix rows must be a list, got {rows!r}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"matrix row {i} must be a list, got {row!r}")
     if len(rows) != n or any(len(row) != n for row in rows):
         raise DimensionError(
             f"rows do not form a {n}x{n} matrix "
@@ -138,7 +143,7 @@ def matrix_from_json(data) -> Matrix:
             if isinstance(entry, (list, tuple)):
                 if len(entry) != 2:
                     raise ValueError(f"complex scalar at ({i},{j}) must be [re, im]")
-                re, im = float(entry[0]), float(entry[1])
+                re, im = _scalar(entry[0], i, j), _scalar(entry[1], i, j)
                 if field == REAL:
                     if im != 0:
                         raise ValueError(f"real matrix has complex entry at ({i},{j})")
@@ -146,8 +151,16 @@ def matrix_from_json(data) -> Matrix:
                 else:
                     arr[i, j] = complex(re, im)
             else:
-                arr[i, j] = float(entry)
+                arr[i, j] = _scalar(entry, i, j)
     return Matrix(field, arr)
+
+
+def _scalar(value, i, j):
+    """``float(value)`` of the entry at (i, j), with a ValueError that names it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"matrix entry at ({i},{j}) is not a number: {value!r}") from None
 
 
 def matrix_to_json(m: Matrix) -> dict:

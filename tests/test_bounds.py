@@ -433,10 +433,14 @@ class TestGrowthCondition:
         )
         assert report.sequence == pytest.approx(oracle, rel=1e-12)
 
-    @pytest.mark.parametrize("level", [1e300, 1e-300])
-    def test_threshold_out_of_float_range(self, level):
+    @pytest.mark.parametrize("a, level", [
+        (np.eye(2), 1e300), (np.eye(2), 1e-300), (np.eye(2), 5e-324),
+        ([[1e300, 1.0], [1.0, -1e300]], 1e-300),
+    ], ids=["1e+300", "1e-300", "5e-324", "1e300_matrix-1e-300"])
+    def test_threshold_out_of_float_range(self, a, level):
+        # The last two thresholds scale to 0 against the matrix.
         with pytest.raises(ValueError, match="growth threshold"):
-            check_growth_condition(np.eye(2), GrowthQuery(eps=None, m=4, level=level))
+            check_growth_condition(a, GrowthQuery(eps=None, m=4, level=level))
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -1028,9 +1032,6 @@ class TestBalancedCut:
 
     @pytest.mark.parametrize("a, grid_q, depth", _sweep_cases())
     def test_reports_match_unscaled_walk(self, monkeypatch, a, grid_q, depth):
-        import absnorm.bounds as bounds_mod
-
-        monkeypatch.setattr(bounds_mod, "_BALANCE_WORDS", 0)  # balance even the small trees
         got = _walk_results(a, grid_q, depth, monkeypatch)
         _unscaled(monkeypatch)
         assert got == _walk_results(a, grid_q, depth, monkeypatch)
@@ -1057,7 +1058,6 @@ class TestBalancedCut:
             beams.append(args[-1])
             return beam(*args)
 
-        monkeypatch.setattr(bounds_mod, "_BALANCE_WORDS", 0)
         monkeypatch.setattr(bounds_mod, "_balance", balancing)
         monkeypatch.setattr(bounds_mod, "_beam_floor", beaming)
         for param in _sweep_cases():
@@ -1152,8 +1152,8 @@ class TestBalancedCut:
             assert got == _walk_results(a, 2, 5, monkeypatch)
 
     def test_balanced_level_bounds_cover_the_full_tree(self, monkeypatch):
-        # Every V_r the balanced cut reads bounds ||R∘Q||_2 over the whole of
-        # level r, the interiors below dropped prefixes included.
+        # Every V_r the balanced cut reads, a power of ||R∘A||_2, bounds
+        # ||R∘Q||_2 over the whole of level r.
         import absnorm.bounds as bounds_mod
 
         levels, reads, level_norms, reaches = [], [], bounds_mod._LevelNorms, bounds_mod._reaches
@@ -1169,7 +1169,6 @@ class TestBalancedCut:
                 reads.append(list(ups[: len(lows)]))
             return reaches(hi, ups, lows)
 
-        monkeypatch.setattr(bounds_mod, "_BALANCE_WORDS", 0)
         monkeypatch.setattr(bounds_mod, "_LevelNorms", Recording)
         monkeypatch.setattr(bounds_mod, "_reaches", reading)
         cases = [param.values for param in _sweep_cases()][8:48]
@@ -1192,15 +1191,6 @@ class TestBalancedCut:
             checked += 1
         assert checked >= 30
 
-    def test_whole_level_bound_covers_dropped_prefixes(self):
-        # Level 3: its own largest norm 1, and level-2 prefixes of hi 3 that
-        # were dropped, whose children reach 3 U_1 = 6.
-        import absnorm.bounds as bounds_mod
-
-        assert bounds_mod._whole_level_bound(1.0, [0.0, 3.0], [2.0, 5.0]) == 6.0
-        assert bounds_mod._whole_level_bound(7.0, [0.0, 3.0], [2.0, 5.0]) == 7.0
-        assert bounds_mod._whole_level_bound(0.5, [], []) == 0.5
-
     @staticmethod
     def _interiors(monkeypatch, a, depth):
         import absnorm.bounds as bounds_mod
@@ -1218,7 +1208,7 @@ class TestBalancedCut:
         return sum(built), report
 
     def test_balanced_walk_builds_few_interiors(self, monkeypatch):
-        # Beam included, the balanced walk builds 2,641 interiors where the
+        # Beam included, the balanced walk builds 2,785 interiors where the
         # unscaled walk builds 8,273.
         a = np.random.default_rng(31).standard_normal((4, 4))
         balanced, report = self._interiors(monkeypatch, a, 6)

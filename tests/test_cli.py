@@ -72,6 +72,13 @@ class TestMu:
         code, _ = run(capsys, ["mu", str(path)])
         assert code == EXIT_INPUT_ERROR
 
+    def test_malformed_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text('{"field": "real", "n": 2, "rows": [[1, 2], [3, null]]}')
+        code = main(["mu", str(path)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: matrix entry at (1,1)")
+
     def test_non_square_exits_2(self, capsys, tmp_path):
         path = tmp_path / "rect.txt"
         path.write_text("1 2 3\n4 5 6\n")
@@ -257,12 +264,15 @@ class TestGrowth:
         code, _ = run(capsys, ["growth", sharp_file])
         assert code == EXIT_INPUT_ERROR
 
-    @pytest.mark.parametrize("level", ["1e300", "1e-300"])
-    def test_threshold_out_of_float_range_exits_2(self, capsys, tmp_path, level):
+    @pytest.mark.parametrize("rows, level", [
+        ("1 0\n0 1\n", "1e300"), ("1 0\n0 1\n", "1e-300"), ("1e300 1\n1 -1e300\n", "1e-300"),
+    ], ids=["1e300", "1e-300", "1e300_matrix-1e-300"])
+    def test_threshold_out_of_float_range_exits_2(self, capsys, tmp_path, rows, level):
         # c^k over- or underflows long before depth 4 at this distance from
-        # the matrix scale; the run ends in a typed error, not a traceback.
-        path = tmp_path / "eye.txt"
-        path.write_text("1 0\n0 1\n")
+        # the matrix scale (against 1e300 entries, 1e-300 scales to 0); the
+        # run ends in a typed error, not a traceback.
+        path = tmp_path / "a.txt"
+        path.write_text(rows)
         code = main(["growth", str(path), "--level", level, "--depth", "4"])
         err = capsys.readouterr().err
         assert code == EXIT_INPUT_ERROR

@@ -204,7 +204,31 @@ class TestMatrixJson:
             matrix_from_json({"field": "real", "n": 2, "rows": [[1, 2, 3], [4, 5, 6]]})
         with pytest.raises(DimensionError):
             matrix_from_json({"field": "real", "n": 3, "rows": [[1, 2], [3, 4]]})
+        with pytest.raises(DimensionError):
+            matrix_from_json({"field": "real", "n": True, "rows": [[1]]})
 
     def test_rejects_unknown_field(self):
         with pytest.raises(ValueError):
             matrix_from_json({"field": "quaternion", "n": 1, "rows": [[1]]})
+
+    @pytest.mark.parametrize("field, n, rows, where", [
+        ("real", 2, 5, "rows"),
+        ("real", 2, [[1, 2], 3], "row 1"),
+        ("real", 1, [[None]], r"\(0,0\)"),
+        ("real", 2, [[1, 2], [3, {}]], r"\(1,1\)"),
+        ("complex", 1, [[[1, {}]]], r"\(0,0\)"),
+        ("complex", 1, [[[None, 0]]], r"\(0,0\)"),
+        ("real", 1, [["one"]], r"\(0,0\)"),
+        ("real", 1, [[10**400]], r"\(0,0\)"),
+    ], ids=["rows_not_list", "row_not_list", "null", "object", "complex_object",
+            "complex_null", "word", "huge_int"])
+    def test_rejects_malformed_entries_by_position(self, field, n, rows, where):
+        with pytest.raises(ValueError, match=where) as info:
+            matrix_from_json({"field": field, "n": n, "rows": rows})
+        assert not isinstance(info.value, DimensionError)
+
+    def test_numbers_strings_and_bools_still_parse(self):
+        m = matrix_from_json({"field": "real", "n": 2, "rows": [[1, "2.5"], [True, -0.5]]})
+        assert m.arr.tolist() == [[1.0, 2.5], [1.0, -0.5]]
+        z = matrix_from_json({"field": "complex", "n": 1, "rows": [[["1", False]]]})
+        assert z.arr.tolist() == [[1 + 0j]]

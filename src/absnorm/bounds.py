@@ -13,7 +13,8 @@ certificates in both directions:
 Both families are read off one walk over the tree of interior products
 P = A D_1 ... D_{k-1} A (integer-coded letters, extended level by level by
 the factors D A).  A decision on an interior's 2-norm is first tried on the
-bound ||P||_F (1 + 1e-12); the SVD runs only where that cannot settle it.
+bound ||P||_F (1 + 1e-12), one sum of squares per interior with a scaled
+fallback far from the unit scale; the SVD runs only where that cannot settle it.
 The lower side applies the terminal letter as a column scaling T = P D_k and,
 as rho(T) <= ||T|| = ||P|| (and <= ||S T S^-1|| = ||S P S^-1||, below), builds
 the terminals only of the prefixes with such a norm^(1/k) within twice the tie
@@ -210,36 +211,45 @@ def _batch_norms(batch, threads=1):
 
 def _frobenius(mag):
     """||X||_F of each matrix of a block of |X| (scaled by its largest entry
-    first), which it overwrites."""
+    first), which it overwrites: the fallback of ``_level_hi``."""
     top = mag.max(axis=(1, 2))
     mag /= np.where(top > 0, top, 1.0)[:, None, None]
     return top * np.sqrt(np.square(mag, out=mag).sum(axis=(1, 2)))
 
 
+def _level_hi(batch, ratio=None):
+    """hi = ||P||_F (1 + 1e-12) of each matrix P, or of R∘P given a ratio R, from one sum
+    of squares per row of the float64 view.  A sum in [2^-900, 2^900] loses at most 2n^2
+    squares below 2^-1022 to underflow and rounds by about 2n^2 u, far inside the margin;
+    the other rows (zero, tiny, huge or not finite) take the scaled ``_frobenius``."""
+    flat = batch.view(np.float64).reshape(len(batch), -1)
+    if ratio is None:
+        sums = np.einsum("mi,mi->m", flat, flat)
+    else:  # R_ij^2 once per float of entry (i, j)
+        weights = np.repeat(np.square(ratio).ravel(), flat.shape[1] // ratio.size)
+        sums = np.einsum("mi,i,mi->m", flat, weights, flat)
+    hi, slow = np.sqrt(sums), ~((sums >= 2.0**-900) & (sums <= 2.0**900))
+    if slow.any():
+        hi[slow] = _frobenius(np.abs(batch[slow]) * (1.0 if ratio is None else ratio))
+    return hi * (1 + 1e-12)
+
+
 class _LevelNorms:
-    """A level of interiors with bounds hi = ||P||_F (1 + 1e-12) >= ||P||_2 (P scaled
-    by its largest |entry| first); the SVD runs only where a decision asks, once each.
+    """A level of interiors with bounds hi = ||P||_F (1 + 1e-12) >= ||P||_2 (``_level_hi``);
+    the SVD runs only where a decision asks, once each.
 
     Given a ratio R, ``balanced`` is the level under the norms ||R∘P||_2 (a
-    ``_Balanced``, its hi from the same pass over each block); without one it is
-    the level itself.
+    ``_Balanced``, its hi from R∘P); without one it is the level itself.
     """
 
     ratio = None
 
     def __init__(self, interior, depth, threads, ratio=None):
         self.interior, self.depth, self.threads = interior, depth, threads
-        self.hi, self.exact = np.empty(len(interior)), np.full(len(interior), np.nan)
-        his = None if ratio is None else np.empty(len(interior))
-        for i in range(0, len(interior), 4096):  # keeps the |P| temporary small
-            mag = np.abs(interior[i : i + 4096])
-            if ratio is not None:
-                his[i : i + 4096] = _frobenius(mag * ratio)
-            self.hi[i : i + 4096] = _frobenius(mag)
-        self.hi *= 1 + 1e-12
+        self.hi, self.exact = _level_hi(interior), np.full(len(interior), np.nan)
         # No reference back from the twin: a cycle would hold the level's
         # interiors until the cyclic garbage collector runs.
-        self._twin = None if ratio is None else _Balanced(self, ratio, his * (1 + 1e-12))
+        self._twin = None if ratio is None else _Balanced(self, ratio, _level_hi(interior, ratio))
 
     @property
     def balanced(self):

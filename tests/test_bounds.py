@@ -1495,6 +1495,101 @@ class TestNormBrackets:
         assert 0 < sum(taken) < 0.01 * interiors
 
 
+def _one_pass_batches():
+    """Levels where the one-pass sum of squares needs its scaled fallback, with
+    the ratio R of the balanced norm each is also tried under."""
+    rng = np.random.default_rng(45)
+    base = rng.standard_normal((300, 4, 4))
+    mixed = base.copy()
+    mixed[::2] *= 1e-170  # whole rows near 1e-170 between rows near 1
+    mixed[1::4, :, :2] *= 1e-170  # and 1 and 1e-170 within a row
+    cplx = base[:, :3, :3] + 1j * rng.standard_normal((300, 3, 3))
+    t = np.array([1.0, 2.0**-40, 0.5, 2.0**-60])
+    clipped = np.maximum(t / t.max(), 2.0**-32)  # as _balance clips s
+    return {
+        "mixed": (mixed, None),
+        "all_tiny": (base * 1e-160, None),  # squares underflow, sums below 2^-900
+        "zero": (np.zeros((7, 3, 3)), None),
+        "complex": (cplx, None),
+        "complex_mixed": (cplx * np.where(np.arange(300) % 3 == 0, 1e-170, 1.0)[:, None, None], None),
+        "clipped_ratio": (mixed, clipped[:, None] / clipped[None, :]),
+        "clipped_ratio_complex": (cplx * 1e-160, clipped[:3, None] / clipped[None, :3]),
+    }
+
+
+def _scaled_level_hi(batch, ratio=None):
+    """hi from the scaled bound on every row, as ``_level_hi`` falls back to."""
+    import absnorm.bounds as bounds_mod
+
+    mag = np.abs(batch)
+    return bounds_mod._frobenius(mag if ratio is None else mag * ratio) * (1 + 1e-12)
+
+
+class TestOnePassBound:
+    """hi from one sum of squares per interior, with the scaled fallback."""
+
+    @pytest.mark.parametrize("kind", sorted(_one_pass_batches()))
+    def test_bound_dominates_svd_and_matches_scaled(self, kind):
+        import absnorm.bounds as bounds_mod
+
+        batch, ratio = _one_pass_batches()[kind]
+        level = bounds_mod._LevelNorms(batch, 1, 1, ratio)
+        for lv, products in ((level, batch), (level.balanced, batch if ratio is None else ratio * batch)):
+            exact = bounds_mod._batch_norms(products)
+            assert np.all(lv.hi >= exact)
+            scaled = _scaled_level_hi(batch, lv.ratio)
+            assert np.all(np.abs(lv.hi - scaled) <= 1e-12 * scaled)
+
+    def test_fallback_runs_only_outside_the_range(self, monkeypatch):
+        import absnorm.bounds as bounds_mod
+
+        fallen, frobenius = [], bounds_mod._frobenius
+
+        def counting(mag):
+            fallen.append(len(mag))
+            return frobenius(mag)
+
+        monkeypatch.setattr(bounds_mod, "_frobenius", counting)
+        batch = _one_pass_batches()["mixed"][0]
+        bounds_mod._level_hi(batch)
+        assert fallen == [150]  # the rows scaled by 1e-170 whole
+        fallen.clear()
+        bounds_mod._level_hi(np.random.default_rng(46).standard_normal((50, 3, 3)))
+        assert fallen == []
+
+    @pytest.mark.parametrize("a, grid_q, depth", [
+        pytest.param(np.array([[0.0, 1.0], [1e-300, 0.0]]), 2, 6, id="tiny_cycle"),
+        pytest.param(np.array([[0.3, 1.0, 0.0], [0.0, -0.7, 1.0], [1e-170, 0.0, 0.5]]), 2, 6,
+                     id="mixed_cycle"),
+        pytest.param(np.array([[1.0, 1e-170, -1.0], [2.0, 1.0, 1e-170], [1e-170, -1.0, 0.5]]), 2, 5,
+                     id="mixed"),
+        pytest.param(np.array([[0.5j, 1.0, 0.0], [0.0, 0.2, 1.0 - 1.0j], [1e-200, 0.0, -0.3]]), 4, 3,
+                     id="complex_tiny"),
+        pytest.param(np.random.default_rng(47).standard_normal((4, 4)), 2, 5, id="random"),
+    ])
+    def test_reports_match_scaled_bound(self, monkeypatch, a, grid_q, depth):
+        import absnorm.bounds as bounds_mod
+        from absnorm import build_norm, eval_norm
+
+        def reports():
+            out = []
+            for threads in (1, 2):
+                report = mu_bounds(a, depth, grid_q=grid_q, threads=threads, use_shortcut=False)
+                out.append(json.dumps(bounds_report_to_json(report)))
+                growth = check_growth_condition(a, GrowthQuery(eps=0.1, m=depth), grid_q, threads)
+                out.append(repr(growth))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                norm = build_norm(a, 2.0 * spectral_norm(as_matrix(a)), min(depth, 4), grid_q)
+            x = np.linspace(-1.0, 1.0, len(a)) + (0.5j if norm.complex_letters else 0.0)
+            out.append(repr((norm.certified_upper, norm._subtree.tolist(), eval_norm(norm, x))))
+            return out
+
+        got = reports()
+        monkeypatch.setattr(bounds_mod, "_level_hi", _scaled_level_hi)
+        assert got == reports()
+
+
 class TestScale:
     """mu(sH) = sqrt(2)|s| for the Hadamard-sign matrix H at any scale."""
 

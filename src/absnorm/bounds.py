@@ -12,9 +12,10 @@ certificates in both directions:
 
 Both families are read off one walk over the tree of interior products
 P = A D_1 ... D_{k-1} A (integer-coded letters, extended level by level by
-the factors D A).  A decision on an interior's 2-norm is first tried on the
-bound ||P||_F (1 + 1e-12), one sum of squares per interior with a scaled
-fallback far from the unit scale; the SVD runs only where that cannot settle it.
+the factors D A in one broadcast matmul per chunk).  A decision on an
+interior's 2-norm is first tried on the bound ||P||_F (1 + 1e-12), one sum
+of squares per interior with a scaled fallback far from the unit scale; the
+SVD runs only where that cannot settle it.
 The lower side applies the terminal letter as a column scaling T = P D_k and,
 as rho(T) <= ||T|| = ||P|| (and <= ||S T S^-1|| = ||S P S^-1||, below), builds
 the terminals only of the prefixes with such a norm^(1/k) within twice the tie
@@ -303,10 +304,12 @@ def _batch_radii(batch, threads=1):
 
 
 def _extend(batch, factors, threads=1):
-    """All products ``batch[i] @ factors[l]``, l fastest; (1, n) row batches work too."""
+    """All products ``batch[i] @ factors[l]``, l fastest, by one broadcast ``np.matmul``
+    per chunk, which forms each pair on its own: every row is bit-identical to
+    ``np.matmul(batch[i], factors[l])``.  (1, n) row batches work too."""
 
     def block(b):
-        return np.einsum("mij,ljk->mlik", b, factors).reshape(-1, *b.shape[1:])
+        return np.matmul(b[:, None], factors[None]).reshape(-1, *b.shape[1:])
 
     return _chunked(batch, block, threads)
 

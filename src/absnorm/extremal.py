@@ -198,9 +198,9 @@ def _eval_blocks(norm, xs, depth):
 
 
 def _images(arr, xs):
-    """A x for each row x, one product at a time: a stacked product can round
-    differently with the number of rows, and so with the block size."""
-    return np.array([arr @ x for x in xs])
+    """A x for each row x, one matrix-vector product per row in one broadcast
+    ``np.matmul``, so that no row rounds differently with the block size."""
+    return np.matmul(arr, np.asarray(xs)[..., None])[..., 0]
 
 
 def _blocks(count, size):

@@ -1590,6 +1590,28 @@ class TestOnePassBound:
         assert got == reports()
 
 
+class TestExtend:
+    """Every row of ``_extend`` is its own pair's product, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "rows", "complex_rows"])
+    def test_rows_are_per_pair_products(self, monkeypatch, kind):
+        import absnorm.bounds as bounds_mod
+
+        rng = np.random.default_rng(48)
+        n, shape = 4, (97, 1 if "rows" in kind else 4, 4)
+        batch, factors = rng.standard_normal(shape), rng.standard_normal((8, n, n))
+        if "complex" in kind:
+            batch = batch + 1j * rng.standard_normal(shape)
+            factors = factors * np.exp(0.5j * np.arange(8))[:, None, None]
+        want = np.array([np.matmul(b, f) for b in batch for f in factors])
+        for chunk in (bounds_mod._CHUNK, 7):
+            monkeypatch.setattr(bounds_mod, "_CHUNK", chunk)
+            for threads in (1, 2):
+                got = bounds_mod._extend(batch, factors, threads)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (chunk, threads)
+
+
 class TestScale:
     """mu(sH) = sqrt(2)|s| for the Hadamard-sign matrix H at any scale."""
 

@@ -350,3 +350,29 @@ class TestFlags:
         assert code == EXIT_INPUT_ERROR
         assert captured.out == ""
         assert captured.err.startswith("error:") and "--threads" in captured.err
+
+
+class TestBlasThreads:
+    def test_mu_json_independent_of_blas_threads(self, tmp_path):
+        # Level products go through BLAS; its thread count must not move a bit.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        a = np.random.default_rng(50).standard_normal((4, 4))
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"field": "real", "n": 4, "rows": a.tolist()}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "absnorm.cli", "mu", str(path), "--depth", "5", "--format", "json"],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["shortcut"] == "none"

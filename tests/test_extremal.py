@@ -522,6 +522,29 @@ class TestGapSearch:
             complexify_gap_search(SHARP, WeightedLpNorm([1.0, 1.0], 1), trials=trials)
 
 
+class TestImages:
+    @pytest.mark.parametrize("rows", [1, 5, 1000])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_match_per_row_products(self, rows, complex_data):
+        # One broadcast matmul rounds each row as the per-row product does.
+        import absnorm.extremal as extremal_mod
+
+        rng = np.random.default_rng(49)
+        for n in (3, 4, 6):
+            a = rng.standard_normal((n, n))
+            xs = rng.standard_normal((rows, n))
+            if complex_data:
+                a, xs = a + 1j * rng.standard_normal((n, n)), xs + 1j * rng.standard_normal((rows, n))
+            got = extremal_mod._images(a, xs)
+            want = np.array([a @ x for x in xs])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # The real matrix of the gap search against complex vectors, and a list of probes.
+        a = a.real
+        assert extremal_mod._images(a, xs).tobytes() == np.array([a @ x for x in xs]).tobytes()
+        probes = [np.eye(n)[j] for j in range(n)]
+        assert extremal_mod._images(a, probes).tobytes() == np.array([a @ x for x in probes]).tobytes()
+
+
 class TestDescriptorJson:
     def test_round_trip(self, sharp_norm):
         data = json.loads(json.dumps(norm_to_json(sharp_norm)))
@@ -537,6 +560,8 @@ class TestDescriptorJson:
 def per_vector_levels(norm, x, depth):
     """The per-vector walk that the batched one replaced, its k = 0 term taken as
     a row norm: the running maxima after each level 0..depth."""
+    import absnorm.bounds as bounds_mod
+
     x = np.asarray(x, dtype=complex if norm.complex_letters or np.iscomplexobj(x) else float)
     f = min(max(int(np.frexp(np.abs(x).max())[1]), -1021), 1021)
     level = (x * 2.0**-f)[None, None, :]
@@ -547,7 +572,7 @@ def per_vector_levels(norm, x, depth):
         if not len(level):
             break
         scale /= norm._c
-        level = np.einsum("mij,ljk->mlik", level, norm._factors).reshape(-1, 1, norm.n)
+        level = bounds_mod._extend(level, norm._factors)
         norms = np.linalg.norm(level[:, 0], axis=1)
         best = max(best, scale * float(norms.max()))
         running.append(best)

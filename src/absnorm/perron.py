@@ -22,6 +22,21 @@ or a nonpositive u certifies lambda <= rho(B).
   when a Noda step fails or stops shrinking the bracket, which is how
   reducible and nilpotent B close.
 
+Noda's iteration starts after at most n // 3 Collatz-Wielandt power
+steps w <- B^T w / sum(B^T w), each reusing the product B^T w that
+observing w already forms, so together they cost about one solve.  From
+the vector they reach, one Noda step usually closes the bracket at
+rounding level.  They stop as soon as an iterate has a nonpositive
+entry or spans more than 2^-500 (reducible or nilpotent B), or three
+steps in a row each shrink the bracket by less than 10% (imprimitive B,
+whose power iterates cycle).
+
+A bracket counts as closed when its width is at most
+``max(tol * min(1, max b_ij), 4 eps upper)``: ``tol`` is absolute at
+scales of 1 and above and relative to the largest entry below, and the
+rounding floor closes brackets whose sides differ only in their last
+bits, at any scale.
+
 Every Collatz-Wielandt ratio below is evaluated on B itself, so solver
 inaccuracy can only slow those sides.  A bisection rejection is never
 read off the sign pattern of a pivoted solve, which cancellation breaks
@@ -42,6 +57,11 @@ __all__ = ["PerronResult", "nonneg_spectral_radius", "optimal_weighted_l1"]
 _NODA_CAP = 32
 _NODA_SPAN = 2.0**-500
 _BISECTION_CAP = 200
+# A power step that leaves more than this share of the bracket's width
+# stalls; _WARM_STALLS stalls in a row end the power steps.
+_WARM_SHRINK = 0.9
+_WARM_STALLS = 3
+_ROUNDING = 4 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -54,7 +74,8 @@ class PerronResult:
     interval: its upper side equals ``rho``; its lower side is the best
     of the min-ratio bounds and the bisection rejections (a rejected
     lambda proves the Collatz-Wielandt infimum, hence rho(B), is at
-    least lambda).
+    least lambda).  ``iterations`` is the number of resolvent solves,
+    Noda steps and bisection steps together; power steps are not counted.
     """
 
     rho: float
@@ -81,8 +102,9 @@ def _require_nonnegative(a):
     return np.asarray(arr, dtype=np.float64)
 
 
-def _cw_ratios(bt, w):
-    r = (bt @ w) / w
+def _cw_ratios(v, w):
+    """Min and max Collatz-Wielandt ratio of w, given ``v = B^T w``."""
+    r = v / w
     return float(r.min()), float(r.max())
 
 
@@ -142,20 +164,27 @@ def _m_matrix_solve(a, rhs):
 class _Bracket:
     """Running certified interval with the best witness vector."""
 
-    def __init__(self, bt, w):
+    def __init__(self, bt, tol, bmax):
         self.bt = bt
+        # Absolute at scales of 1 and above, relative to max b_ij below.
+        self.tol = tol * min(1.0, bmax)
         self.lower = 0.0
         self.upper = np.inf
-        self.vector = w
-        self.observe(w)
+        self.vector = None
 
     def observe(self, w):
-        lo, hi = _cw_ratios(self.bt, w)
+        """Take the Collatz-Wielandt ratios of w into the interval; returns B^T w."""
+        v = self.bt @ w
+        lo, hi = _cw_ratios(v, w)
         if hi < self.upper:
             self.upper, self.vector = hi, w
         if lo > self.lower:
             self.lower = lo
-        return lo, hi
+        return v
+
+    def closed(self, lower):
+        """Whether [lower, upper] is closed; 4 eps upper is the rounding floor."""
+        return self.upper - lower <= max(self.tol, _ROUNDING * self.upper)
 
     @property
     def width(self):
@@ -165,14 +194,21 @@ class _Bracket:
 def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
     """Spectral radius of a nonnegative matrix with certified bounds.
 
-    Runs Noda's iteration from the uniform vector: each step solves
-    ``(lambda*I - B^T) u = w`` with lambda the certified upper side and
-    takes the normalized u as the next test vector.  Once a step fails
-    (singular or nonpositive solve), stops shrinking the bracket, or the
-    step cap is reached, resolvent bisection closes the interval from the
-    current bracket; a midpoint whose pivoted solve is not positive is
-    decided by the sign-safe :func:`_m_matrix_solve`.  ``iterations``
-    counts both kinds of step.
+    Starts from the uniform vector with at most n // 3 Collatz-Wielandt
+    power steps ``w <- B^T w / sum(B^T w)``.  They stop early when the
+    bracket closes, when an iterate has a nonpositive entry or spans more
+    than 2^-500 (reducible or nilpotent B), or when three steps in a row
+    each shrink the bracket by less than 10% (imprimitive B).  Noda's
+    iteration then runs from the best vector so far, at least one step
+    after any power step: each step solves ``(lambda*I - B^T) u = w`` with
+    lambda the certified upper side and takes the normalized u as the
+    next test vector.  Once a step fails (singular or nonpositive solve),
+    stops shrinking the bracket, or the step cap is reached, resolvent
+    bisection closes the interval from the current bracket; a midpoint
+    whose pivoted solve is not positive is decided by the sign-safe
+    :func:`_m_matrix_solve`.  The interval is closed when its width is at
+    most ``max(tol * min(1, max b_ij), 4 eps rho)``.  ``iterations``
+    counts the resolvent solves of Noda's iteration and the bisection.
 
     Raises
     ------
@@ -185,13 +221,34 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
     bmat = _require_nonnegative(b)
     n = bmat.shape[0]
     bt = bmat.T
-    if float(bmat.max()) == 0.0:
+    bmax = float(bmat.max())
+    if bmax == 0.0:
         return PerronResult(0.0, np.ones(n) / n, 0, (0.0, 0.0))
 
-    w = np.ones(n) / n
-    bracket = _Bracket(bt, w)
+    bracket = _Bracket(bt, tol, bmax)
+    v = bracket.observe(np.ones(n) / n)
+    # Power steps: each costs one product B^T w, which observing w formed.
+    steps = stalls = 0
+    while steps < n // 3 and stalls < _WARM_STALLS and not bracket.closed(bracket.lower):
+        vmin, vmax = float(v.min()), float(v.max())
+        if vmin <= 0 or vmin / vmax < _NODA_SPAN:
+            break
+        steps += 1
+        w = v / vmax
+        w /= w.sum()
+        width = bracket.width
+        v = bracket.observe(w)
+        stalls = stalls + 1 if bracket.width > _WARM_SHRINK * width else 0
+
+    w = bracket.vector
     iterations = 0
-    while iterations < _NODA_CAP and bracket.width > tol:
+    # After power steps Noda takes at least one step, from their best
+    # vector: near the Perron vector its quadratic step lands at rounding
+    # level, where the power steps' own bracket may have stopped just
+    # inside tol.
+    polish = steps > 0
+    while iterations < _NODA_CAP and (polish or not bracket.closed(bracket.lower)):
+        polish = False
         iterations += 1
         u = _resolvent_vector(bt, bracket.upper, w)
         if u is None:
@@ -211,7 +268,7 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
     lo = bracket.lower
     ones = np.ones(n)
     for _ in range(_BISECTION_CAP):
-        if bracket.upper - lo <= tol:
+        if bracket.closed(lo):
             return PerronResult(
                 bracket.upper,
                 bracket.vector,
@@ -255,10 +312,11 @@ def optimal_weighted_l1(b, eps: float) -> WeightedLpNorm:
 
     rho_tol = min(eps / 10.0, 1e-8)
     result = nonneg_spectral_radius(bmat, tol=rho_tol)
-    # rho >= rho(B) >= rho - rho_tol, so ratios below this are certified.
-    target = (result.rho - rho_tol) + eps
+    # rho(B) >= the bracket's lower side, so ratios below this are certified;
+    # a closed bracket's width can exceed rho_tol (its rounding floor).
+    target = result.bracket[0] + eps
     w = result.left_vector / result.left_vector.sum()
-    _, hi = _cw_ratios(bmat.T, w)
+    _, hi = _cw_ratios(bmat.T @ w, w)
     if hi <= target:
         return WeightedLpNorm(w, 1)
     raise NonConvergenceError(

@@ -200,6 +200,112 @@ class TestNodaIteration:
             assert contains(r.bracket, spectral_radius(b), 1e-9), (case, b)
 
 
+def sparse_nonneg(rng, n):
+    """The benchmark's certify input: density 4/n, a weighted cycle and a
+    positive leading 2x2 block."""
+    b = rng.random((n, n)) * (rng.random((n, n)) < 4.0 / n)
+    b += np.roll(np.eye(n), 1, axis=1) * (rng.random(n) + 0.5)
+    b[:2, :2] = rng.random((2, 2)) + 0.5
+    return b
+
+
+def block_triangular_tiny(rng, lead):
+    """Reducible 8x8 whose leading (or trailing) diagonal block is 1e-250 scale."""
+    b = rng.random((8, 8))
+    b[4:, :4] = 0.0
+    if lead:
+        b[:4, :4] *= 1e-250
+    else:
+        b[4:, 4:] *= 1e-250
+    return b
+
+
+class TestPowerSteps:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_closes_in_two_solves(self, seed):
+        b = sparse_nonneg(np.random.default_rng(seed), 200)
+        r = nonneg_spectral_radius(b, tol=1e-10)
+        assert r.iterations <= 2
+        # The Noda step after the power steps takes the bracket from near
+        # tol to rounding level.
+        assert r.bracket[1] - r.bracket[0] <= 1e-12 * r.bracket[1]
+        assert contains(r.bracket, spectral_radius(b), 1e-12)
+        assert r.rho == pytest.approx(cw_max(b, r.left_vector), rel=1e-14)
+
+    def test_power_steps_stop_on_a_periodic_matrix(self, monkeypatch):
+        # Power iterates of a period-4 B cycle; three steps that barely
+        # shrink the bracket hand it to Noda long before the n // 3 cap.
+        from absnorm import perron
+
+        observed = []
+        observe = perron._Bracket.observe
+
+        def counting(self, w):
+            observed.append(w)
+            return observe(self, w)
+
+        monkeypatch.setattr(perron._Bracket, "observe", counting)
+        b = block_cyclic(np.random.default_rng(5), 200, 4)
+        r = nonneg_spectral_radius(b, tol=1e-10)
+        # Each resolvent solve observes at most one vector; the rest are the
+        # uniform start vector and the power steps.
+        power_steps = len(observed) - 1 - r.iterations
+        assert power_steps <= 8
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            np.eye(10, k=1),
+            block_triangular_tiny(np.random.default_rng(7), lead=True),
+            block_triangular_tiny(np.random.default_rng(7), lead=False),
+        ],
+        ids=["nilpotent_shift", "tiny_leading_block", "tiny_trailing_block"],
+    )
+    def test_zero_or_underflowing_iterates_fall_through(self, b):
+        # A power step meets a zero entry (the shift) or an entry 1e-250
+        # below the rest; the run must hand over to Noda or the bisection
+        # without an underflow or a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                r = nonneg_spectral_radius(b, tol=1e-10)
+        assert r.bracket[1] - r.bracket[0] <= 1e-10
+        assert contains(r.bracket, spectral_radius(b), 1e-12)
+        assert r.rho == pytest.approx(cw_max(b, r.left_vector), rel=1e-14)
+
+
+class TestScale:
+    @pytest.mark.parametrize("s", [1e-200, 1e-12, 1e12, 1e200])
+    def test_cyclic_bracket_is_relative(self, s):
+        # rho(s [[0,2],[1,0]]) = sqrt(2) s.  Below scale 1 the tolerance is
+        # relative to the largest entry, and above it the rounding floor
+        # 4 eps rho closes the bracket.
+        r = nonneg_spectral_radius(s * np.array([[0.0, 2.0], [1.0, 0.0]]))
+        lo, hi = r.bracket
+        assert contains(r.bracket, np.sqrt(2.0) * s, 1e-12)
+        assert hi - lo <= 1e-10 * hi
+
+    @pytest.mark.parametrize("s", [1e6, 1e200])
+    def test_large_scale_closes_at_the_rounding_floor(self, s):
+        # An absolute tol of 1e-10 is below the spacing of floats near rho
+        # at these scales, so only equal sides would close the bracket.
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            b = rng.random((n, n)) * s
+            r = nonneg_spectral_radius(b)
+            lo, hi = r.bracket
+            assert hi - lo <= 4 * np.finfo(float).eps * hi
+            assert contains(r.bracket, spectral_radius(b), 1e-12)
+
+    def test_weighted_l1_below_the_rounding_floor(self):
+        # At 1e12 the margin eps = 1e-3 is below the rounding floor 4 eps rho
+        # (1.3e-3); the closed bracket's lower side still certifies it.
+        b = 1e12 * np.array([[0.0, 2.0], [1.0, 0.0]])
+        norm = optimal_weighted_l1(b, eps=1e-3)
+        assert induced_norm(b, norm) <= nonneg_spectral_radius(b).bracket[0] + 1e-3
+
+
 class TestSignSafeBisection:
     def test_strictly_triangular_has_no_false_lower_bound(self):
         # rho(B) = 0, and B^T is so non-normal at these scales that a

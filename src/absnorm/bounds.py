@@ -28,10 +28,11 @@ The upper side is the best level maximum, min over k of M_k^(1/k) with
 M_k the largest ||P|| on level k, read from the interiors that can attain it.
 ``prune_delta`` is accepted for compatibility and has no effect.
 
-The walk extends a prefix P at depth k only while ||P|| M_r can reach a
-floor below M_{k+r} (Gripenberg, *LAA* 234, 1996), so every M_k is the full
-tree's.  Growth and the extremal norm take their floor from a narrow beam.
-``mu_bounds`` keeps a prefix if either of two cuts can still reach its floor:
+The walk (``_levels``) extends a prefix P at depth k only while ||P|| M_r can
+reach a floor below M_{k+r} (Gripenberg, *LAA* 234, 1996), so every M_k is the
+full tree's.  Its caller passes only the lower side's floor; growth and the
+extremal norm pass none and read the maxima alone.  A prefix is kept if either
+of two cuts can still reach its floor:
 
 * lower: bar^j, with bar the best value less twice the tie slack, reached
   both in the plain norm and in the Perron-balanced norm ||S P S^-1||_2,
@@ -44,8 +45,9 @@ tree's.  Growth and the extremal norm take their floor from a narrow beam.
   reaches the bar, and the lower side gates and bounds its terminals in the
   balanced norm too, but eigensolves the plain ones, so every value,
   witness and tie-break is the unscaled walk's.
-* upper: max(L_j, bar^j) in the plain norm, with L_j <= M_j from a beam;
-  both floors are at most M_j, so every M_k is the full tree's.
+* upper: max(L_j, bar^j) in the plain norm, with L_j <= M_j from a beam the
+  walk starts once a level is wide enough; both floors are at most M_j, so
+  every M_k is the full tree's.  Without a lower side the floor is L_j alone.
 
 Both cuts carry the margin 1 + 1e-9, which covers the rounding of the norms,
 of R_ij = s_i / s_j, of R∘P and of the powers of ||R∘A||_2.  A walk without
@@ -239,26 +241,20 @@ class _LevelNorms:
     """A level of interiors with bounds hi = ||P||_F (1 + 1e-12) >= ||P||_2 (``_level_hi``);
     the SVD runs only where a decision asks, once each.
 
-    Given a ratio R, ``balanced`` is the level under the norms ||R∘P||_2 (a
-    ``_Balanced``, its hi from R∘P); without one it is the level itself.
+    Given a ratio R, the level's norms are ||R∘P||_2 = ||S P S^-1||_2, R_ij = s_i / s_j,
+    its hi is from R∘P and ``plain_hi`` holds the plain bounds: the balanced view of
+    ``_levels``.  fl(R∘P) carries a relative entrywise error of at most 2u (R and the
+    product each round once), which the 1 + 1e-12 of ``hi`` and the cut's 1 + 1e-9 cover.
     """
 
-    ratio = None
-
-    def __init__(self, interior, depth, threads, ratio=None):
+    def __init__(self, interior, depth, threads, ratio=None, plain_hi=None):
         self.interior, self.depth, self.threads = interior, depth, threads
-        self.hi, self.exact = _level_hi(interior), np.full(len(interior), np.nan)
-        # No reference back from the twin: a cycle would hold the level's
-        # interiors until the cyclic garbage collector runs.
-        self._twin = None if ratio is None else _Balanced(self, ratio, _level_hi(interior, ratio))
-
-    @property
-    def balanced(self):
-        return self._twin or self
+        self.ratio, self.plain_hi = ratio, plain_hi
+        self.hi, self.exact = _level_hi(interior, ratio), np.full(len(interior), np.nan)
 
     def products(self, idx):
         """The interiors ``idx`` in the level's norm."""
-        return self.interior[idx]
+        return self.interior[idx] if self.ratio is None else self.ratio * self.interior[idx]
 
     def norms(self, idx):
         todo = idx[np.isnan(self.exact[idx])]
@@ -275,23 +271,6 @@ class _LevelNorms:
     def top(self):
         """SVD norms of every interior that can hold the level's largest norm."""
         return self.norms(np.flatnonzero(self.hi >= self.norms(np.argmax(self.hi, keepdims=True))))
-
-
-class _Balanced(_LevelNorms):
-    """The interiors of a plain level under ||R∘P||_2 = ||S P S^-1||_2, R_ij = s_i / s_j,
-    with the plain bounds as ``plain_hi``.
-
-    fl(R∘P) carries a relative entrywise error of at most 2u (R and the product
-    each round once), which the 1 + 1e-12 of ``hi`` and the cut's 1 + 1e-9 cover.
-    """
-
-    def __init__(self, plain, ratio, hi):
-        self.interior, self.depth, self.threads = plain.interior, plain.depth, plain.threads
-        self.ratio, self.plain_hi, self._twin = ratio, plain.hi, None
-        self.hi, self.exact = hi, np.full(len(hi), np.nan)
-
-    def products(self, idx):
-        return self.ratio * self.interior[idx]
 
 
 def _batch_radii(batch, threads=1):
@@ -386,8 +365,9 @@ def _root_bounds(level, rows, terminals):
     whose computed rho could win, and so matches the ungated walk bit for
     bit, is empirical.
 
-    On a ``_Balanced`` level the terminals are R∘T = S T S^-1 for the plain
-    terminals T, which are the ones eigensolved, and rho(T) = rho(S T S^-1).
+    On a balanced level (one with a ratio R) the terminals are R∘T = S T S^-1
+    for the plain terminals T, which are the ones eigensolved, and rho(T) =
+    rho(S T S^-1).
     R and the product round once each, a relative error of 2u in every entry
     and so 4 more units of gamma.  The backward error of the plain T moves to
     S E S^-1 with ||S E S^-1||_F <= kappa n^2 u ||T||_F =: e, kappa = max R_ij,
@@ -414,7 +394,7 @@ def _gated_radii(level, cand, phases, bar, threads):
     """``_leaders`` of rho^(1/depth) over the terminals ``P·D`` of the interiors
     ``cand`` (``_terminal`` order), one per block, with rho = 0 where
     ``_root_bounds`` certifies rho^(1/depth) < bar (bar = -inf keeps all).
-    On a ``_Balanced`` level the bound is taken on R∘(P·D); the eigensolves
+    On a balanced level the bound is taken on R∘(P·D); the eigensolves
     are always of the plain P·D, so every rho is the unscaled walk's.
 
     Terminals are built, bounded and eigensolved in blocks of about ``_BLOCK``
@@ -444,15 +424,29 @@ def _improves(candidate, best):
     return candidate > best + _TIE_REL * max(1.0, abs(best))
 
 
-def _exponent(arr):
-    """e with 2^(e-1) <= max|a_i| < 2^e (0 for 0), in +-1021 so 2.0**+-e is normal."""
-    return min(max(int(np.frexp(np.abs(arr).max())[1]), -1021), 1021)
+def _exponent(arr, axis=None):
+    """e with 2^(e-1) <= max|a_i| < 2^e (0 for 0), in +-1021 so 2.0**+-e is normal:
+    an int, or an array of one e per row given the ``axis`` the rows run along."""
+    e = np.minimum(np.maximum(np.frexp(np.abs(arr).max(axis=axis))[1], -1021), 1021)
+    return int(e) if axis is None else e
 
 
 def _normalized(m):
     """``(2^-e A, e)`` with e = ``_exponent(A)``."""
     e = _exponent(m.arr)
     return Matrix(m.field, np.ldexp(m.arr.view(np.float64), -e).view(m.arr.dtype)), e
+
+
+def _scaled_threshold(c, e, depth, name):
+    """c 2^-e for a walk scaled by 2^-e (``_normalized``); a ValueError unless its
+    powers up to ``depth`` stay normal floats (binary exponent within +-1022)."""
+    c_s = c * 2.0**-e
+    if c_s == 0.0 or depth * abs(math.log2(c_s)) >= 1022:
+        raise ValueError(
+            f"{name} {c!r} is too far from the matrix scale: c^k leaves "
+            f"the float range for some k <= {depth}"
+        )
+    return c_s
 
 
 def _upper_bounds(s, q, best, perron=None):
@@ -528,33 +522,37 @@ def _reaches(hi, ups, lows):
     return (hi[:, None] * (np.array(ups[: len(lows)]) * (1 + 1e-9)) >= lows).any(axis=1)
 
 
-def _levels(arr, da, max_depth, threads, floor, ratio=None):
-    """``(depth, _LevelNorms, rows)`` of each level of the interior tree that can
-    reach ``floor``; row i of a level extends row ``rows[i // len(da)]`` of the
-    previous one by ``da[i % len(da)]`` (rows is None at depth 1).
+def _levels(arr, da, max_depth, threads, floor=None, ratio=None):
+    """``(depth, level, balanced, top, rows)`` of each level the walk keeps: its
+    ``_LevelNorms``, its view under a ratio R (``_balance``; the level itself
+    without one) and top = M_k.  Row i extends row ``rows[i // len(da)]`` of the
+    previous level by ``da[i % len(da)]`` (rows is None at depth 1).
 
     A descendant P Q of a level-k interior P at level k + r has Q = D A ... D A
-    (r factors) and ||P Q|| <= ||P|| ||A D ... D A|| <= ||P|| M_r.  So P is
-    extended only if hi(P) U_r (1 + 1e-9) >= floor(k + r) for some r, where U_r
-    is M_r once level r is done and min over a + b = r of U_a U_b before.  The
-    margin covers rounding; a zero or subnormal floor prunes nothing.  ``floor``
-    is read once the caller is done with level k.  Where floor(j) <= M_j, every
-    M_k and its maximizers are the full tree's (Gripenberg, *LAA* 234, 1996,
-    unscaled); floor 0 walks the full tree.
+    (r factors) and ||P Q|| <= ||P|| ||A D ... D A|| <= ||P|| M_r.  So a cut
+    against a floor F extends P only if hi(P) U_r (1 + 1e-9) >= F(k + r) for
+    some r, where U_r is M_r once level r is done and min over a + b = r of
+    U_a U_b before.  The margin covers rounding; a zero or subnormal floor
+    prunes nothing.  Where F(j) <= M_j, every M_k and its maximizers are the
+    full tree's (Gripenberg, *LAA* 234, 1996, unscaled).
 
-    Given a ratio R (``_balance``), ``floor`` is the lower side's, bar^j, and P
-    is extended if either of two cuts keeps it:
+    ``floor`` is the lower side's alone (bar^j for ``mu_bounds``), read once the
+    caller is done with level k; None means no lower side.  P is extended if
+    either of two cuts keeps it:
 
-    * lower: the cut against floor(j) holds both unscaled and in the balanced
-      norms ||R∘P||, since a word's rho is below both norm bounds.  S P Q S^-1 =
-      (S P S^-1)(S Q S^-1) with S Q S^-1 a product of r factors S D A S^-1 of
-      norm ||R∘A||, so there U_r is V_r = ||R∘A||^r, which needs no floor.
+    * lower: the cut against floor(j) holds unscaled and, given R, in the
+      balanced norms ||R∘P|| too, since a word's rho is below both norm bounds.
+      S P Q S^-1 = (S P S^-1)(S Q S^-1) with S Q S^-1 a product of r factors
+      S D A S^-1 of norm ||R∘A||, so there U_r is V_r = ||R∘A||^r, which needs
+      no floor.
     * upper: the unscaled cut against max(L_j, floor(j)) <= M_j, with L_j from a
-      ``_beam_floor`` started at the first level whose unscaled cut keeps at
-      least 2 ``_BEAM`` interiors per level still to come (until then L_j = 0),
-      so every M_k is the full tree's.
+      ``_beam_floor`` started at the first level whose unscaled cut against
+      floor keeps at least 2 ``_BEAM`` interiors per level still to come (until
+      then L_j = 0), so every M_k is the full tree's.  With a floor but no
+      ratio the lower cut keeps every prefix the upper one does: no beam starts.
 
-    Every level is a subset of the level of the unscaled cut against floor alone.
+    Every level is a subset of the level of the unscaled cut against floor
+    alone (the full tree without a floor).
     """
     interior, rows, ups, beam = arr[None, :, :], None, [], None
     if ratio is not None:  # V_r for r = 1 .. max_depth - 1
@@ -562,29 +560,33 @@ def _levels(arr, da, max_depth, threads, floor, ratio=None):
     for depth in range(1, max_depth + 1):
         if depth > 1:
             interior = _extend(interior, da, threads)
-        level = _LevelNorms(interior, depth, threads, ratio)
-        yield depth, level, rows
+        level = _LevelNorms(interior, depth, threads)
+        balanced = level if ratio is None else _LevelNorms(interior, depth, threads, ratio, level.hi)
+        top = float(level.top().max())
+        yield depth, level, balanced, top, rows
         if depth == max_depth:
             break
-        _bound_levels(ups, float(level.top().max()), depth, max_depth)
-        lows = _floors(floor, depth, max_depth)
-        keep = _reaches(level.hi, ups, lows)
-        if ratio is not None:
-            if beam is None and np.count_nonzero(keep) >= 2 * _BEAM * (max_depth - depth):
-                beam = _beam_floor(interior[np.argsort(-level.hi)[:_BEAM]], da, max_depth, threads, depth)
-            if beam is not None:  # without a beam the lower cut keeps a subset of keep
-                keep = (keep & _reaches(level.balanced.hi, powers, lows)) | _reaches(
-                    level.hi, ups, np.maximum(lows, _floors(beam, depth, max_depth)))
+        _bound_levels(ups, top, depth, max_depth)
+        lows = np.zeros(max_depth - depth) if floor is None else _floors(floor, depth, max_depth)
+        # The unscaled cut against floor alone, the whole rule before the beam;
+        # without a floor, the beam's cut replaces it once the beam runs.
+        keep = None if floor is None and beam is not None else _reaches(level.hi, ups, lows)
+        if (beam is None and (floor is None or ratio is not None)
+                and np.count_nonzero(keep) >= 2 * _BEAM * (max_depth - depth)):
+            beam = _beam_floor(interior[np.argsort(-level.hi)[:_BEAM]], da, max_depth, threads, depth)
+        if beam is not None:
+            upper = _reaches(level.hi, ups, np.maximum(lows, _floors(beam, depth, max_depth)))
+            keep = upper if floor is None else (keep & _reaches(balanced.hi, powers, lows)) | upper
         rows = np.flatnonzero(keep)
         interior = interior[rows]
 
 
-def _beam_floor(arr, da, max_depth, threads, depth=1):
-    """A floor for ``_levels`` with floor(j) <= M_j for j >= ``depth``: the norm L_j
-    of the interior of largest hi on level j of a beam that extends the ``_BEAM``
+def _beam_floor(interior, da, max_depth, threads, depth):
+    """The upper side's L_j <= M_j for j >= ``depth`` in ``_levels``: the norm of
+    the interior of largest hi on level j of a beam that extends the ``_BEAM``
     interiors of largest hi of each level, from the level-``depth`` interiors
-    ``arr`` (the root A at depth 1).  The L_j take one batched SVD."""
-    tops, interior = [], arr.reshape(-1, *arr.shape[-2:])
+    ``interior``.  The L_j take one batched SVD."""
+    tops = []
     for k in range(depth, max_depth + 1):
         if k > depth:
             interior = _extend(interior[np.argsort(-hi)[:_BEAM]], da, threads)
@@ -614,7 +616,8 @@ def _walk(m, max_depth, grid_q, threads, perron=None):
     upper, nodes, words = np.inf, 0, np.zeros(1, dtype=np.int64)
 
     ratio = _balance(m, perron)
-    for depth, level, rows in _levels(arr, da, max_depth, threads, lambda j: max(bar, 0.0) ** j, ratio):
+    walk = _levels(arr, da, max_depth, threads, lambda j: max(bar, 0.0) ** j, ratio)
+    for depth, level, balanced, _, rows in walk:
         if depth > 1:  # the full-tree indices of the level's interiors
             words = (words[rows][:, None] * size + np.arange(size)).ravel()
         # Lower: rho(P D) <= ||R∘P||, so only the prefixes whose balanced norm
@@ -622,9 +625,9 @@ def _walk(m, max_depth, grid_q, threads, perron=None):
         # letter, and only the terminals whose square bound reaches it are
         # eigensolved.  A word below that bar cannot tie with an improvement.
         nodes += size**depth
-        cand = np.flatnonzero(level.balanced.where(bar))
+        cand = np.flatnonzero(balanced.where(bar))
         if cand.size:
-            first, value = _first_within_tie(_gated_radii(level.balanced, cand, phases, bar, threads))
+            first, value = _first_within_tie(_gated_radii(balanced, cand, phases, bar, threads))
             if _improves(value, best):
                 best, best_depth = value, depth
                 best_flat = int(words[cand[first // size]]) * size + first % size
@@ -766,8 +769,8 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
       whose M_k^(1/k) exceeds c are tried, on the terminal products P D of the
       interiors attaining M_k; the first witness ends the search.
 
-    The levels come from a walk that extends only the prefixes that can still
-    attain a deeper level maximum (``_levels`` with ``_beam_floor``), so every
+    The levels come from a walk with no lower side, which extends only the
+    prefixes that can still attain a deeper level maximum (``_levels``), so every
     M_k and every set of maximizers, and with them the report, are the full tree's.
 
     Both or neither gives ``inconclusive``, and so does m < 2.  A threshold so
@@ -778,17 +781,10 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     _check_search_args(query.m, grid_q, threads=threads)
     c = query.level if query.level is not None else spectral_radius(m) + query.eps
     s, e = _normalized(m)
-    c_s = c * 2.0**-e
-    # c_s^k must stay a normal float (binary exponent within +-1022) for k <= m.
-    if c_s == 0.0 or query.m * abs(math.log2(c_s)) >= 1022:
-        raise ValueError(
-            f"growth threshold {c!r} is too far from the matrix scale: c^k leaves "
-            f"the float range for some k <= {query.m}"
-        )
+    c_s = _scaled_threshold(c, e, query.m, "growth threshold")
     q, _, phases, arr, da = _search_setup(s, grid_q, query.m)
     best, growing, g = math.inf, False, []
-    for k, level, _ in _levels(arr, da, query.m, threads, _beam_floor(arr, da, query.m, threads)):
-        top = float(level.top().max())
+    for k, level, _, top, _ in _levels(arr, da, query.m, threads):
         g.append(top / c_s**k)
         root = top ** (1.0 / k)
         best = min(best, root)

@@ -17,7 +17,8 @@ for every word of length k <= r: the value is the full tree's, bit for bit.
 The exact level maxima behind G_r also give the evaluator's certified upper
 bound on mu(A), so building a norm walks the word tree once, and only the
 prefixes of that tree that can still attain a level maximum
-(``bounds._levels`` with ``bounds._beam_floor``).
+(``bounds._levels`` with no lower side, whose own beam bounds each maximum
+from below).
 
 The evaluator walks a stack of vectors at once.  Each vector keeps its own
 power-of-two scale and its own best term, and a product is dropped against
@@ -36,10 +37,11 @@ import numpy as np
 
 from .bounds import (
     _CHUNK,
-    _beam_floor,
+    _exponent,
     _extend,
     _levels,
     _normalized,
+    _scaled_threshold,
     _search_setup,
     _upper_bounds,
 )
@@ -104,21 +106,14 @@ class TruncatedExtremalNorm:
             raise ValueError(f"truncation depth m must be a nonnegative integer, got {self.m!r}")
         _check_grid_q(self.grid_q)
         s, e = _normalized(self.matrix)
-        c = self.c * 2.0**-e
-        # c^-k must stay a normal float (binary exponent within +-1022) for k <= m + 1.
-        if c == 0.0 or (self.m + 1) * abs(math.log2(c)) >= 1022:
-            raise ValueError(
-                f"scale c {self.c!r} is too far from the matrix scale: c^k leaves "
-                f"the float range for some k <= {self.m + 1}"
-            )
+        c = _scaled_threshold(self.c, e, self.m + 1, "scale c")
         q, _, _, arr, factors = _search_setup(Matrix(s.field, s.arr.T), self.grid_q, self.m)
         # Exact maxima M_k of the tree of A^T (the transposes of A's interiors)
         # while a level fits one chunk, to depth m + 1 and at least 4 for the
         # certified upper bound; deeper, M_{a+b} <= M_a M_b.
         depth = max(self.m + 1, 4)
         exact = next(k for k in range(1, depth + 1) if k == depth or len(factors) ** k > _CHUNK)
-        floor = _beam_floor(arr, factors, exact, 1)
-        top = [float(lv.top().max()) for _, lv, _ in _levels(arr, factors, exact, 1, floor)]
+        top = [t for _, _, _, t, _ in _levels(arr, factors, exact, 1)]
         best = min(t ** (1.0 / k) for k, t in enumerate(top, start=1))
         certified = _upper_bounds(s, q, best)[1] * 2.0**e
         for r in range(exact + 1, self.m + 2):
@@ -160,7 +155,7 @@ def _eval_levels(norm: TruncatedExtremalNorm, xs, depth):
     under- or overflows.  The products of each row stay contiguous and in row
     order, so a level's maxima are one ``reduceat`` over the rows' segments."""
     xs = np.asarray(xs, dtype=complex if norm.complex_letters or np.iscomplexobj(xs) else float)
-    f = np.minimum(np.maximum(np.frexp(np.abs(xs).max(axis=1))[1], -1021), 1021)  # bounds._exponent
+    f = _exponent(xs, axis=1)
     level = (xs * np.ldexp(1.0, -f)[:, None])[:, None, :]
     norms = np.linalg.norm(level[:, 0], axis=1)
     best, owner, scale = norms.copy(), np.arange(len(xs)), 1.0

@@ -204,11 +204,12 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
     lambda the certified upper side and takes the normalized u as the
     next test vector.  Once a step fails (singular or nonpositive solve),
     stops shrinking the bracket, or the step cap is reached, resolvent
-    bisection closes the interval from the current bracket; a midpoint
-    whose pivoted solve is not positive is decided by the sign-safe
-    :func:`_m_matrix_solve`.  The interval is closed when its width is at
-    most ``max(tol * min(1, max b_ij), 4 eps rho)``.  ``iterations``
-    counts the resolvent solves of Noda's iteration and the bisection.
+    bisection closes the interval from the current bracket; every midpoint
+    is decided by the sign-safe :func:`_m_matrix_solve`, whose pivot signs
+    say whether it lies above rho(B).  The interval is closed when its
+    width is at most ``max(tol * min(1, max b_ij), 4 eps rho)``.
+    ``iterations`` counts the resolvent solves of Noda's iteration and the
+    bisection.
 
     Raises
     ------

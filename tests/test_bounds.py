@@ -538,14 +538,14 @@ class TestGrowthCondition:
 
 
 def on_full_tree(module, fn):
-    """``fn()`` with ``module._levels`` walking the full tree (floor 0) in the
-    plain norm: a balanced ratio and its floor are dropped, so the lower side
-    gates its terminals unscaled as well."""
+    """``fn()`` with ``module._levels`` walking the full tree (lower floor 0, no
+    ratio, so no beam) in the plain norm: a balanced ratio and its floor are
+    dropped, so the lower side gates its terminals unscaled as well."""
     import absnorm.bounds as bounds_mod
 
     levels = bounds_mod._levels
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_levels", lambda arr, da, depth, threads, floor, *balanced: levels(
+        patch.setattr(module, "_levels", lambda arr, da, depth, threads, floor=None, ratio=None: levels(
             arr, da, depth, threads, lambda j: 0.0))
         return fn()
 
@@ -588,11 +588,12 @@ class TestMaximaWalk:
 
         s, _ = bounds_mod._normalized(as_matrix(a))
         _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, m)
-        pruned = bounds_mod._levels(arr, da, m, 1, bounds_mod._beam_floor(arr, da, m, 1))
+        pruned = bounds_mod._levels(arr, da, m, 1)
         full_tree = bounds_mod._levels(arr, da, m, 1, lambda j: 0.0)
-        for (k, got, _), (_, full, _) in zip(pruned, full_tree):
-            top = full.top().max()
-            assert got.top().max() == top, k
+        for (k, got, got_balanced, got_top, _), (_, full, _, top, _) in zip(pruned, full_tree):
+            assert got_balanced is got  # no ratio: the balanced view is the level
+            assert top == full.top().max() and got_top == got.top().max()
+            assert got_top == top, k
             maxima = full.interior[full.exact == top]
             assert np.array_equal(got.interior[got.exact == top], maxima), k
 
@@ -619,9 +620,8 @@ class TestMaximaWalk:
 
         s, _ = bounds_mod._normalized(as_matrix(a))
         _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, m)
-        tops = [lv.top().max() for _, lv, _ in bounds_mod._levels(arr, da, m, 1, lambda j: 0.0)]
-        floor = bounds_mod._beam_floor(arr, da, m, 1)
-        levels = [lv for _, lv, _ in bounds_mod._levels(arr, da, m, 1, floor)]
+        tops = [top for _, _, _, top, _ in bounds_mod._levels(arr, da, m, 1, lambda j: 0.0)]
+        levels = [lv for _, lv, _, _, _ in bounds_mod._levels(arr, da, m, 1)]
         for k, (level, deeper) in enumerate(zip(levels, levels[1:]), start=1):
             need = np.zeros(len(level.hi), dtype=bool)
             for r in range(1, m - k + 1):
@@ -683,6 +683,20 @@ class TestMaximaWalk:
         interiors = sum(8**k for k in range(7))
         assert report.verdict == "growing"
         assert 0 < 1 + sum(rows) < 0.01 * interiors
+
+    def test_no_beam_on_small_levels(self, monkeypatch):
+        # The 2x2 Hadamard has 2 letters, so levels of 1, 2, 4 and 8 interiors:
+        # none keeps 2 * _BEAM per level still to come, so no beam starts, and
+        # growth at m = 4 and the norm at m = 3 (maxima to depth 4) build the
+        # tree's 14 rows alone.
+        from absnorm import build_norm
+
+        rows = self._count_rows(monkeypatch)
+        check_growth_condition(HADAMARD, GrowthQuery(eps=0.1, m=4))
+        assert sum(rows) == 14
+        rows.clear()
+        build_norm(HADAMARD, c=2.0, m=3)
+        assert sum(rows) == 14
 
     @pytest.mark.parametrize("tiny, pruned", [(1e-100, True), (1e-105, False)])
     def test_subnormal_level_prunes_nothing(self, monkeypatch, tiny, pruned):
@@ -1164,8 +1178,7 @@ class TestBalancedCut:
                 levels.append(self)
 
         def reading(hi, ups, lows):
-            if any(hi is level.balanced.hi and level.ratio is None and level._twin is not None
-                   for level in levels):
+            if any(hi is level.hi and level.ratio is not None for level in levels):
                 reads.append(list(ups[: len(lows)]))
             return reaches(hi, ups, lows)
 
@@ -1184,7 +1197,8 @@ class TestBalancedCut:
                 continue
             _, _, _, arr, da = bounds_mod._search_setup(s, grid_q, depth)
             tops = []
-            for _, level, _ in bounds_mod._levels(arr, da, max(len(r) for r in reads), 1, lambda j: 0.0):
+            full_tree = bounds_mod._levels(arr, da, max(len(r) for r in reads), 1, lambda j: 0.0)
+            for _, level, _, _, _ in full_tree:
                 tops.append(bounds_mod._batch_norms(ratio * level.interior).max())
             for bound in reads:
                 assert all(v >= t * (1 - 1e-12) for v, t in zip(bound, tops))
@@ -1198,9 +1212,10 @@ class TestBalancedCut:
         built, level_norms = [], bounds_mod._LevelNorms
 
         class Counting(level_norms):
-            def __init__(self, interior, *args):
-                built.append(len(interior))
-                super().__init__(interior, *args)
+            def __init__(self, interior, depth, threads, ratio=None, plain_hi=None):
+                if ratio is None:  # the plain levels and the beam's, not the balanced views
+                    built.append(len(interior))
+                super().__init__(interior, depth, threads, ratio, plain_hi)
 
         with monkeypatch.context() as patch:
             patch.setattr(bounds_mod, "_LevelNorms", Counting)
@@ -1414,7 +1429,8 @@ class TestSquareBound:
             s = spread ** np.linspace(-0.5, 0.5, n)
             ratio = s[:, None] / s[None, :]
             for depth in (1, 3):
-                level = bounds_mod._LevelNorms(interior, depth, 1, ratio).balanced
+                plain = bounds_mod._LevelNorms(interior, depth, 1)
+                level = bounds_mod._LevelNorms(interior, depth, 1, ratio, plain.hi)
                 bound = bounds_mod._root_bounds(level, rows, ratio * terminals)
                 assert np.all(np.isfinite(bound))
                 assert np.all(bound ** depth >= radii)
@@ -1533,8 +1549,9 @@ class TestOnePassBound:
         import absnorm.bounds as bounds_mod
 
         batch, ratio = _one_pass_batches()[kind]
-        level = bounds_mod._LevelNorms(batch, 1, 1, ratio)
-        for lv, products in ((level, batch), (level.balanced, batch if ratio is None else ratio * batch)):
+        level = bounds_mod._LevelNorms(batch, 1, 1)
+        balanced = level if ratio is None else bounds_mod._LevelNorms(batch, 1, 1, ratio, level.hi)
+        for lv, products in ((level, batch), (balanced, batch if ratio is None else ratio * batch)):
             exact = bounds_mod._batch_norms(products)
             assert np.all(lv.hi >= exact)
             scaled = _scaled_level_hi(batch, lv.ratio)

@@ -49,9 +49,14 @@ of two cuts can still reach its floor:
   walk starts once a level is wide enough; both floors are at most M_j, so
   every M_k is the full tree's.  Without a lower side the floor is L_j alone.
 
-Both cuts carry the margin 1 + 1e-9, which covers the rounding of the norms,
-of R_ij = s_i / s_j, of R∘P and of the powers of ||R∘A||_2.  A walk without
-a ratio (``_balance`` returns None) runs the unscaled cut alone.
+Both cuts carry the margin 1 + 1e-9, which covers every rounding they meet:
+hi over-estimates a norm by at most 1 + 1e-12; R_ij = s_i / s_j and the
+product round once each, so fl(R∘P) is within 2u of S P S^-1 in each entry
+and within 2u n^(1/2) relative in the 2-norm; the SVD norms are within a
+small multiple of n u, and the products U_a U_b, the powers ||R∘A||^r and
+bar^j within depth u, all far below 1e-9 at any depth the node budget
+admits.  A walk without a ratio (``_balance`` returns None) runs the
+unscaled cut alone.
 
 All searches, and the shortcut's rho(|A|), run on 2^-e A with 2^e just
 above max|a_ij| and scale back exactly, so products at scales like 1e-200
@@ -80,8 +85,8 @@ from .diagonals import (
     word_to_json,
 )
 from .errors import CapacityError, NonConvergenceError
-from .matrices import COMPLEX, Matrix, as_matrix, entrywise_abs, spectral_radius
-from .perron import nonneg_spectral_radius
+from .matrices import COMPLEX, Matrix, _norms, _radii, as_matrix, entrywise_abs, spectral_radius
+from .perron import _resolvent_vector, nonneg_spectral_radius
 from .signequiv import EquivalenceWitness, is_nonnegative, sign_equivalent_to_abs
 
 __all__ = [
@@ -206,10 +211,7 @@ def _chunked(batch, fn, threads):
 
 
 def _batch_norms(batch, threads=1):
-    try:
-        return _chunked(batch, lambda b: np.linalg.svd(b, compute_uv=False)[..., 0], threads)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"SVD did not converge on a product batch: {exc}") from exc
+    return _chunked(batch, _norms, threads)
 
 
 def _frobenius(mag):
@@ -243,8 +245,7 @@ class _LevelNorms:
 
     Given a ratio R, the level's norms are ||R∘P||_2 = ||S P S^-1||_2, R_ij = s_i / s_j,
     its hi is from R∘P and ``plain_hi`` holds the plain bounds: the balanced view of
-    ``_levels``.  fl(R∘P) carries a relative entrywise error of at most 2u (R and the
-    product each round once), which the 1 + 1e-12 of ``hi`` and the cut's 1 + 1e-9 cover.
+    ``_levels``.
     """
 
     def __init__(self, interior, depth, threads, ratio=None, plain_hi=None):
@@ -272,14 +273,13 @@ class _LevelNorms:
         """SVD norms of every interior that can hold the level's largest norm."""
         return self.norms(np.flatnonzero(self.hi >= self.norms(np.argmax(self.hi, keepdims=True))))
 
+    def root(self):
+        """M_k^(1/k) by numpy's array power, the one rounding of every min over k."""
+        return float((self.top() ** (1.0 / self.depth)).max())
+
 
 def _batch_radii(batch, threads=1):
-    try:
-        return _chunked(batch, lambda b: np.abs(np.linalg.eigvals(b)).max(axis=-1), threads)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(
-            f"eigensolver did not converge on a product batch: {exc}"
-        ) from exc
+    return _chunked(batch, _radii, threads)
 
 
 def _extend(batch, factors, threads=1):
@@ -475,22 +475,23 @@ def _balance(s, perron=None):
     rho(S P S^-1 D) <= ||R∘P||_2 for every product P, and any positive s gives
     valid bounds: the Perron vectors need not be accurate.  ``perron`` is the
     run on |S| (its test vector is y); x is one step of inverse iteration,
-    (lambda I - |S|)^-1 1 at lambda = rho (1 + 2^-30) just above rho(|S|).
-    s is clipped to [2^-32, 1] of its largest entry so that R∘P stays far inside
-    the float range.  R is None when it is identically 1 (|A| symmetric, n = 1
-    or A = 0), when the Perron run does not close, or when a Perron vector is
-    not positive and finite (a reducible |A| whose vectors span more than the
-    float range).
+    (lambda I - |S|)^-1 1 at lambda = rho (1 + 2^-30) just above rho(|S|), from
+    ``perron._resolvent_vector``.  s is clipped to [2^-32, 1] of its largest entry
+    so that R∘P stays far inside the float range.  R is None when it is
+    identically 1 (|A| symmetric, n = 1 or A = 0), when the Perron run does not
+    close, when the solve for x is singular or not positive, or when a Perron
+    vector is not positive and finite (a reducible |A| whose vectors span more
+    than the float range).
     """
     b = np.abs(s.arr)
     if np.array_equal(b, b.T):
         return None
     try:
-        if perron is None:
-            perron = nonneg_spectral_radius(b, tol=1e-10)
-        lam = perron.rho * (1 + 2.0**-30)
-        x = np.linalg.solve(np.diag(np.full(s.n, lam)) - b, np.ones(s.n))
-    except (NonConvergenceError, np.linalg.LinAlgError):
+        perron = perron or nonneg_spectral_radius(b, tol=1e-10)
+    except NonConvergenceError:
+        return None
+    x = _resolvent_vector(b, perron.rho * (1 + 2.0**-30), np.ones(s.n))
+    if x is None:
         return None
     with np.errstate(all="ignore"):
         t = np.sqrt(perron.left_vector) / np.sqrt(x)
@@ -532,8 +533,8 @@ def _levels(arr, da, max_depth, threads, floor=None, ratio=None):
     (r factors) and ||P Q|| <= ||P|| ||A D ... D A|| <= ||P|| M_r.  So a cut
     against a floor F extends P only if hi(P) U_r (1 + 1e-9) >= F(k + r) for
     some r, where U_r is M_r once level r is done and min over a + b = r of
-    U_a U_b before.  The margin covers rounding; a zero or subnormal floor
-    prunes nothing.  Where F(j) <= M_j, every M_k and its maximizers are the
+    U_a U_b before.  The margin is the module docstring's; a zero or subnormal
+    floor prunes nothing.  Where F(j) <= M_j, every M_k and its maximizers are the
     full tree's (Gripenberg, *LAA* 234, 1996, unscaled).
 
     ``floor`` is the lower side's alone (bar^j for ``mu_bounds``), read once the
@@ -603,12 +604,7 @@ def _walk(m, max_depth, grid_q, threads, perron=None):
     on |S|, if any), the lower side takes as candidates the interiors with
     ||R∘P||^(1/depth) >= bar and bounds their terminals on R∘T (``_root_bounds``),
     and ``_levels`` cuts the lower side in both norms against bar^j and the upper
-    side in the plain norm against max(L_j, bar^j).  The cuts' margin 1 + 1e-9
-    covers every rounding they meet: hi over-estimates a norm by at most
-    1 + 1e-12; fl(R∘P) is within 2u of S P S^-1 in each entry, so within
-    2u n^(1/2) relative in the 2-norm; the SVD norms are within a small multiple
-    of n u, and the products U_a U_b and the powers ||R∘A||^r and bar^j within
-    depth u, all far below 1e-9 at any depth the node budget admits.
+    side in the plain norm against max(L_j, bar^j).
     """
     q, exponents, phases, arr, da = _search_setup(m, grid_q, max_depth)
     size = len(phases)
@@ -633,7 +629,7 @@ def _walk(m, max_depth, grid_q, threads, perron=None):
                 best_flat = int(words[cand[first // size]]) * size + first % size
                 bar = best - 2 * _TIE_REL * max(1.0, abs(best))
         # Upper: M_k^(1/k) >= mu(A) at every depth k.
-        upper = min(upper, float((level.top() ** (1.0 / depth)).max()))
+        upper = min(upper, level.root())
     digits = np.unravel_index(best_flat, (size,) * best_depth)
     letters = (UnimodularDiagonal(phases[d], q=q or 2, indices=exponents[d]) for d in digits)
     return float(best), DiagonalWord(tuple(letters)), upper, nodes
@@ -669,14 +665,16 @@ def mu_upper_bound(
     """Certified upper bound from norms of diagonal-word products.
 
     Returns min over k <= max_depth of M_k^(1/k), M_k the largest level-k
-    product norm.  ``prune_delta`` is accepted and validated but has no
-    effect.  Over a complex phase grid with n > 1 the returned value only
-    bounds the grid-restricted supremum (callers flag it heuristic).
+    product norm, read from growth's walk (``_levels`` with no lower side),
+    which eigensolves nothing.  ``prune_delta`` is accepted and validated but
+    has no effect.  Over a complex phase grid with n > 1 the returned value
+    only bounds the grid-restricted supremum (callers flag it heuristic).
     """
     m = as_matrix(a)
     _check_search_args(max_depth, grid_q, prune_delta, threads)
     s, e = _normalized(m)
-    return _walk(s, max_depth, grid_q, threads)[2] * 2.0**e
+    _, _, _, arr, da = _search_setup(s, grid_q, max_depth)
+    return min(level.root() for _, level, _, _, _ in _levels(arr, da, max_depth, threads)) * 2.0**e
 
 
 def mu_bounds(
@@ -696,7 +694,10 @@ def mu_bounds(
     additionally capped at rho(|A|), which dominates mu(A) for every
     matrix.  ``use_shortcut=False`` forces the generic engine (used to
     cross-validate the shortcut).  The reported upper bound is never
-    below the reported lower bound.  ``prune_delta`` is accepted and
+    below the reported lower bound.  ``exact`` is set when both bounds are
+    certified and upper - lower <= ``tol`` min(1, max|a_ij|): ``tol`` is
+    absolute at scales of 1 and above and relative to the largest entry
+    below, as for the Perron bracket.  ``prune_delta`` is accepted and
     validated but has no effect.
     """
     m = as_matrix(a)
@@ -740,7 +741,7 @@ def mu_bounds(
     # A word's rho and its 2-norm may round apart by an ulp when they are
     # equal in exact arithmetic; widen the upper side, never lower it.
     upper = max(upper, lower)
-    exact = (not heuristic) and (upper - lower <= tol)
+    exact = (not heuristic) and (upper - lower <= tol * min(1.0, float(np.abs(m.arr).max())))
     return BoundsReport(
         lower=lower,
         upper=upper,
@@ -763,7 +764,7 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     * ``bounded`` when c exceeds the certified upper bound on mu(A) by more
       than 1e-12 relative: min_k M_k^(1/k) capped at rho(|A|) over the exact
       diagonal group (real letters, or n = 1), else the cap alone, the rule
-      that also gives ``mu_bounds`` its upper bound.
+      and the rounding that also give ``mu_bounds`` its upper bound.
     * ``growing`` when some word has rho(A D_1 ... A D_k)^(1/k) > c (1 + 1e-12),
       so its powers make g_k unbounded.  As rho(P D) <= ||P||, only levels
       whose M_k^(1/k) exceeds c are tried, on the terminal products P D of the
@@ -786,7 +787,7 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     best, growing, g = math.inf, False, []
     for k, level, _, top, _ in _levels(arr, da, query.m, threads):
         g.append(top / c_s**k)
-        root = top ** (1.0 / k)
+        root = level.root()
         best = min(best, root)
         if not growing and root > c_s:
             # ``top`` took the SVD of every interior that can attain M_k.

@@ -74,6 +74,13 @@ def load_matrix(path: str) -> Matrix:
     return Matrix("real", np.array(rows))
 
 
+def _fields(payload, keys):
+    """``key = value`` text lines of ``keys``, padded to the longest, lists in JSON."""
+    width = max(map(len, keys))
+    text = {k: json.dumps(v) if isinstance(v, list) else v for k, v in payload.items()}
+    return [f"{k:<{width}} = {text[k]}" for k in keys]
+
+
 def _emit(args, lines, payload):
     if args.fmt == "json":
         print(json.dumps(payload))
@@ -94,18 +101,9 @@ def cmd_mu(args: argparse.Namespace) -> int:
         threads=_threads(args),
     )
     payload = bounds_report_to_json(report)
-    lines = [
-        f"lower           = {report.lower!r}",
-        f"upper           = {report.upper!r}",
-        f"exact           = {report.exact}",
-        f"shortcut        = {report.shortcut}",
-        f"witness         = {json.dumps(payload['witness'])}",
-        f"depth           = {report.depth_explored}",
-        f"nodes           = {report.nodes_visited}",
-        f"grid_q          = {report.grid_q}",
-        f"upper_heuristic = {report.upper_heuristic}",
-    ]
-    _emit(args, lines, payload)
+    keys = ("lower", "upper", "exact", "shortcut", "witness", "depth", "nodes", "grid_q",
+            "upper_heuristic")
+    _emit(args, _fields(payload, keys), payload)
     return EXIT_OK
 
 
@@ -120,23 +118,13 @@ def cmd_sign_equiv(args: argparse.Namespace) -> int:
             "left": _letter_to_json(result.left),
             "right": _letter_to_json(result.right),
         }
-        lines = [
-            "verdict = sign_equivalent",
-            f"left    = {json.dumps(payload['left'])}",
-            f"right   = {json.dumps(payload['right'])}",
-        ]
     else:
         payload = {
             "verdict": "not_sign_equivalent",
             "cycle": [[kind, idx] for kind, idx in result.cycle],
             "phase_product": [result.phase_product.real, result.phase_product.imag],
         }
-        lines = [
-            "verdict       = not_sign_equivalent",
-            f"cycle         = {json.dumps(payload['cycle'])}",
-            f"phase_product = {json.dumps(payload['phase_product'])}",
-        ]
-    _emit(args, lines, payload)
+    _emit(args, _fields(payload, tuple(payload)), payload)
     return EXIT_OK
 
 
@@ -150,12 +138,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
         "depth": report.depth,
         "sequence": list(report.sequence),
     }
-    lines = [
-        f"verdict   = {report.verdict}",
-        f"threshold = {report.threshold!r}",
-        f"sequence  = {json.dumps(payload['sequence'])}",
-    ]
-    _emit(args, lines, payload)
+    _emit(args, _fields(payload, ("verdict", "threshold", "sequence")), payload)
     return EXIT_OK
 
 
@@ -264,7 +247,8 @@ _FLAGS = {
                      help="phase grid order; >2 switches to complex-grid semantics (default 2)"),
     "--prune-delta": dict(type=float, default=1e-3,
                           help="accepted for compatibility; has no effect (default 1e-3)"),
-    "--tol": dict(type=float, default=1e-9, help="exactness tolerance (default 1e-9)"),
+    "--tol": dict(type=float, default=1e-9,
+                  help="exactness tolerance, relative to max|a_ij| below 1 (default 1e-9)"),
     "--trials": dict(type=int, default=1000, help="random trials for audits (default 1000)"),
     "--threads": dict(type=int, default=0, help="worker threads; 0 means all cores"),
     "--eps": dict(type=float, default=None, help="margin above rho(A) defining the threshold"),

@@ -37,6 +37,7 @@ import numpy as np
 
 from .bounds import (
     _CHUNK,
+    _bound_levels,
     _exponent,
     _extend,
     _levels,
@@ -116,8 +117,7 @@ class TruncatedExtremalNorm:
         top = [t for _, _, _, t, _ in _levels(arr, factors, exact, 1)]
         best = min(t ** (1.0 / k) for k, t in enumerate(top, start=1))
         certified = _upper_bounds(s, q, best)[1] * 2.0**e
-        for r in range(exact + 1, self.m + 2):
-            top.append(min(top[a - 1] * top[r - a - 1] for a in range(1, r)))
+        _bound_levels(top, top[-1], exact, exact + self.m + 1)
         bound = np.maximum.accumulate(np.array(top[: self.m + 1]) * c ** -np.arange(1.0, self.m + 2))
         object.__setattr__(self, "certified_upper", certified)
         object.__setattr__(self, "c_below_certified_upper", self.c <= certified)

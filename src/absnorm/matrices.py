@@ -2,9 +2,10 @@
 
 Square matrices carry an explicit field tag so that real inputs are never
 silently promoted to complex storage.  The module provides the spectral
-quantities (spectral radius, spectral norm) and the weighted l_p vector
-norms together with their exactly computable induced operator norms for
-p in {1, 2, inf}.
+quantities (spectral radius, spectral norm; one LAPACK kernel each, over
+stacks too, whose failure raises NonConvergenceError with no iteration
+count) and the weighted l_p vector norms together with their exactly
+computable induced operator norms for p in {1, 2, inf}.
 """
 
 import json
@@ -31,10 +32,6 @@ __all__ = [
 
 REAL = "real"
 COMPLEX = "complex"
-
-# LAPACK's QR eigensolver sweeps at most 30 times per eigenvalue; reported
-# on failure since the backend does not expose the actual count.
-_QR_SWEEPS_PER_EIGENVALUE = 30
 
 
 @dataclass(frozen=True)
@@ -172,6 +169,22 @@ def matrix_to_json(m: Matrix) -> dict:
     return {"field": m.field, "n": m.n, "rows": rows}
 
 
+def _radii(batch):
+    """Largest eigenvalue modulus of each matrix of a stack (or of one matrix)."""
+    try:
+        return np.abs(np.linalg.eigvals(batch)).max(axis=-1)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
+
+
+def _norms(batch):
+    """Largest singular value of each matrix of a stack (or of one matrix)."""
+    try:
+        return np.linalg.svd(batch, compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"SVD did not converge: {exc}") from exc
+
+
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus of a square matrix.
 
@@ -181,30 +194,15 @@ def spectral_radius(a) -> float:
     Raises
     ------
     NonConvergenceError
-        If the QR iteration fails to converge.
+        If the QR iteration fails to converge; LAPACK reports no
+        iteration count, so ``iterations`` is 0.
     """
-    m = as_matrix(a)
-    try:
-        eigs = np.linalg.eigvals(m.arr)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(
-            f"eigensolver did not converge: {exc}",
-            iterations=_QR_SWEEPS_PER_EIGENVALUE * m.n,
-        ) from exc
-    return float(np.abs(eigs).max())
+    return float(_radii(as_matrix(a).arr))
 
 
 def spectral_norm(a) -> float:
     """Largest singular value of a square matrix."""
-    m = as_matrix(a)
-    try:
-        sv = np.linalg.svd(m.arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(
-            f"SVD did not converge: {exc}",
-            iterations=_QR_SWEEPS_PER_EIGENVALUE * m.n,
-        ) from exc
-    return float(sv[0])
+    return float(_norms(as_matrix(a).arr))
 
 
 def entrywise_abs(a) -> Matrix:

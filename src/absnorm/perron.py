@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .matrices import WeightedLpNorm, as_matrix
+from .signequiv import is_nonnegative
 
 __all__ = ["PerronResult", "nonneg_spectral_radius", "optimal_weighted_l1"]
 
@@ -92,14 +93,9 @@ class PerronResult:
 
 def _require_nonnegative(a):
     m = as_matrix(a)
-    arr = m.arr
-    if np.iscomplexobj(arr):
-        if np.any(arr.imag != 0):
-            raise ValueError("matrix must be real nonnegative")
-        arr = arr.real
-    if np.any(arr < 0):
-        raise ValueError("matrix must be entrywise nonnegative")
-    return np.asarray(arr, dtype=np.float64)
+    if not is_nonnegative(m):
+        raise ValueError("matrix must be real and entrywise nonnegative")
+    return m.arr.real
 
 
 def _cw_ratios(v, w):

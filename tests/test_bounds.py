@@ -501,6 +501,27 @@ class TestGrowthCondition:
                     verdict = check_growth_condition(a, query).verdict
                     assert (verdict == "bounded") == bounded, (i, depth, factor, verdict)
 
+    def test_best_is_mu_upper_bound_bit_for_bit(self, monkeypatch):
+        # The bounded verdict's threshold rounds each M_k^(1/k) as mu_upper_bound
+        # does (numpy's array power), so the two agree in every bit.
+        import absnorm.bounds as bounds_mod
+
+        upper_bounds, seen = bounds_mod._upper_bounds, []
+
+        def recording(s, q, best, perron=None):
+            seen.append(best)
+            return upper_bounds(s, q, best, perron)
+
+        monkeypatch.setattr(bounds_mod, "_upper_bounds", recording)
+        rng = np.random.default_rng(90)
+        for i in range(300):
+            n = 2 + i % 3
+            a = rng.standard_normal((n, n))
+            depth = (6, 5, 4)[n - 2]
+            check_growth_condition(a, GrowthQuery(eps=0.1, m=depth))
+            best = seen.pop() * 2.0 ** bounds_mod._exponent(a)
+            assert best == mu_upper_bound(a, depth), i
+
     def test_complex_grid_bounded_only_above_cap(self):
         # Grid maxima only bound the grid-restricted growth, so on the complex
         # grid with n > 1 "bounded" needs c above rho(|A|) >= mu(A).
@@ -948,7 +969,8 @@ class TestWalk:
         assert gated == [1, 2] + [3] * 64
 
     def test_power_of_two_scaling_is_exact(self):
-        # tol is absolute, so it scales with the matrix; prune_delta has no effect.
+        # tol is scaled with the matrix, which the exact rule needs only above
+        # max|a_ij| = 1 (below it tol is relative); prune_delta has no effect.
         a = np.random.default_rng(33).standard_normal((3, 3))
         base = mu_bounds(a, max_depth=5, use_shortcut=False)
         for k in (-600, -7, 9, 700):
@@ -1653,6 +1675,16 @@ class TestScale:
         ratio = ROOT2 / (ROOT2 + 0.1)
         assert report.verdict == "bounded"
         assert report.sequence == pytest.approx([ratio**k for k in range(1, 5)], rel=1e-9)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-12])
+    def test_exact_is_relative_below_unit_scale(self, s):
+        # The bench's search.n6d3 input at seed 1 keeps a 16% gap at depth 3 at
+        # every scale; tol is relative to max|a_ij| below 1, so a tiny input is
+        # not called exact.
+        _, a, grid_q, depth = next(job for job in _bench_search_inputs() if job[0] == "search.n6d3")
+        report = mu_bounds(s * a, max_depth=depth, grid_q=grid_q)
+        assert report.upper > report.lower * 1.001
+        assert not report.exact
 
     @pytest.mark.parametrize("rows", [[[0, 2], [1, 0]], [[0, 2], [-1, 0]]])
     @pytest.mark.parametrize("s", [1e-12, 1e-9, 1.0, 1e12, 1e-200, 1e200])

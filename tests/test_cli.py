@@ -149,6 +149,93 @@ class TestMu:
         assert bounds_report_to_json(bounds_report_from_json(data)) == data
 
 
+class TestTextOutput:
+    """The text format: the header, then one ``key = value`` line per field with
+    the keys padded to the longest one, lists in JSON.  Computed floats are read
+    from the JSON output of the same command, so only the layout is pinned."""
+
+    @staticmethod
+    def text_and_payload(capsys, argv):
+        code, text = run(capsys, argv)
+        assert code == EXIT_OK
+        return text, json.loads(run(capsys, argv + ["--format", "json"])[1])
+
+    def test_mu_shortcut(self, capsys, sharp_file):
+        text, _ = self.text_and_payload(capsys, ["mu", sharp_file])
+        assert text == (
+            "# absnorm mu  seed=0\n"
+            "lower           = 2.0\n"
+            "upper           = 2.0\n"
+            "exact           = True\n"
+            "shortcut        = sign_equivalent\n"
+            "witness         = [[1, -1]]\n"
+            "depth           = 1\n"
+            "nodes           = 0\n"
+            "grid_q          = None\n"
+            "upper_heuristic = False\n"
+        )
+
+    def test_mu_generic(self, capsys, hadamard_file):
+        text, p = self.text_and_payload(capsys, ["mu", hadamard_file, "--depth", "4"])
+        assert text == (
+            "# absnorm mu  seed=0\n"
+            f"lower           = {p['lower']!r}\n"
+            f"upper           = {p['upper']!r}\n"
+            "exact           = True\n"
+            "shortcut        = none\n"
+            "witness         = [[1, 1]]\n"
+            "depth           = 4\n"
+            "nodes           = 30\n"
+            "grid_q          = None\n"
+            "upper_heuristic = False\n"
+        )
+
+    def test_mu_complex_grid(self, capsys, hadamard_file):
+        argv = ["mu", hadamard_file, "--depth", "3", "--grid-q", "4", "--seed", "5"]
+        text, p = self.text_and_payload(capsys, argv)
+        assert text == (
+            "# absnorm mu  seed=5\n"
+            f"lower           = {p['lower']!r}\n"
+            f"upper           = {p['upper']!r}\n"
+            "exact           = False\n"
+            "shortcut        = none\n"
+            f"witness         = {json.dumps(p['witness'])}\n"
+            "depth           = 3\n"
+            "nodes           = 84\n"
+            "grid_q          = 4\n"
+            "upper_heuristic = True\n"
+        )
+
+    def test_sign_equivalent(self, capsys, sharp_file):
+        text, _ = self.text_and_payload(capsys, ["sign-equiv", sharp_file])
+        assert text == (
+            "# absnorm sign-equiv  seed=0\n"
+            "verdict = sign_equivalent\n"
+            "left    = [1, -1]\n"
+            "right   = [1, 1]\n"
+        )
+
+    def test_not_sign_equivalent(self, capsys, hadamard_file):
+        text, _ = self.text_and_payload(capsys, ["sign-equiv", hadamard_file])
+        assert text == (
+            "# absnorm sign-equiv  seed=0\n"
+            "verdict       = not_sign_equivalent\n"
+            'cycle         = [["r", 0], ["c", 0], ["r", 1], ["c", 1]]\n'
+            "phase_product = [-1.0, 0.0]\n"
+        )
+
+    def test_growth(self, capsys, sharp_file):
+        argv = ["growth", sharp_file, "--level", "0.5", "--depth", "3"]
+        text, p = self.text_and_payload(capsys, argv)
+        assert len(p["sequence"]) == 3
+        assert text == (
+            "# absnorm growth  seed=0\n"
+            "verdict   = growing\n"
+            "threshold = 0.5\n"
+            f"sequence  = {json.dumps(p['sequence'])}\n"
+        )
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys, hadamard_file):
         _, out1 = run(capsys, ["mu", hadamard_file, "--depth", "4", "--format", "json"])

@@ -465,6 +465,12 @@ def _upper_bounds(s, q, best, perron=None):
     return reported, reported if q is None or s.n == 1 else cap
 
 
+def _clears(certified, c):
+    """Whether the scale or threshold c clears a certified upper bound of ``_upper_bounds``
+    (both on 2^-e A) by more than 1e-12 relative: growth's ``bounded``, ``build_norm``'s warning."""
+    return certified * (1 + 1e-12) < c
+
+
 def _balance(s, perron=None):
     """The ratio R_ij = s_i / s_j of the Perron-balanced norm x -> ||S x||_2 of
     S = 2^-e A, or None where it would not act.
@@ -591,14 +597,15 @@ def _beam_floor(interior, da, max_depth, threads, depth):
     for k in range(depth, max_depth + 1):
         if k > depth:
             interior = _extend(interior[np.argsort(-hi)[:_BEAM]], da, threads)
-        hi = _LevelNorms(interior, k, threads).hi
+        hi = _level_hi(interior)
         tops.append(interior[np.argmax(hi)])
     lows = _batch_norms(np.stack(tops), threads)
     return lambda j: float(lows[j - depth])
 
 
 def _walk(m, max_depth, grid_q, threads, perron=None):
-    """``(lower, witness, upper, nodes)`` of one walk; see the module docstring.
+    """``(lower, witness, upper, nodes, q)`` of one walk, q from ``_search_setup``;
+    see the module docstring.
 
     With a balanced ratio R (``_balance``; ``perron`` is the caller's Perron run
     on |S|, if any), the lower side takes as candidates the interiors with
@@ -632,7 +639,7 @@ def _walk(m, max_depth, grid_q, threads, perron=None):
         upper = min(upper, level.root())
     digits = np.unravel_index(best_flat, (size,) * best_depth)
     letters = (UnimodularDiagonal(phases[d], q=q or 2, indices=exponents[d]) for d in digits)
-    return float(best), DiagonalWord(tuple(letters)), upper, nodes
+    return float(best), DiagonalWord(tuple(letters)), upper, nodes, q
 
 
 def mu_lower_bound(a, max_depth: int, grid_q: int = 2, threads: int = 1):
@@ -651,7 +658,7 @@ def mu_lower_bound(a, max_depth: int, grid_q: int = 2, threads: int = 1):
     m = as_matrix(a)
     _check_search_args(max_depth, grid_q, threads=threads)
     s, e = _normalized(m)
-    value, word, _, _ = _walk(s, max_depth, grid_q, threads)
+    value, word, _, _, _ = _walk(s, max_depth, grid_q, threads)
     return value * 2.0**e, word
 
 
@@ -704,7 +711,6 @@ def mu_bounds(
     _check_search_args(max_depth, grid_q, prune_delta, threads)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    report_q = grid_q if m.field == COMPLEX or grid_q > 2 else None
     s, e = _normalized(m)
 
     if use_shortcut:
@@ -734,7 +740,7 @@ def mu_bounds(
             )
 
     perron = nonneg_spectral_radius(entrywise_abs(s), tol=1e-10)
-    lower, witness, best, nodes = _walk(s, max_depth, grid_q, threads, perron)
+    lower, witness, best, nodes, report_q = _walk(s, max_depth, grid_q, threads, perron)
     upper, certified = _upper_bounds(s, report_q, best, perron)
     heuristic = upper < certified
     lower, upper = lower * 2.0**e, upper * 2.0**e
@@ -764,7 +770,8 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
     * ``bounded`` when c exceeds the certified upper bound on mu(A) by more
       than 1e-12 relative: min_k M_k^(1/k) capped at rho(|A|) over the exact
       diagonal group (real letters, or n = 1), else the cap alone, the rule
-      and the rounding that also give ``mu_bounds`` its upper bound.
+      and the rounding that also give ``mu_bounds`` its upper bound; ``build_norm``
+      warns by the same comparison (``_clears``).
     * ``growing`` when some word has rho(A D_1 ... A D_k)^(1/k) > c (1 + 1e-12),
       so its powers make g_k unbounded.  As rho(P D) <= ||P||, only levels
       whose M_k^(1/k) exceeds c are tried, on the terminal products P D of the
@@ -794,7 +801,7 @@ def check_growth_condition(a, query: GrowthQuery, grid_q: int = 2, threads: int 
             maxima = level.interior[level.exact == top]
             radii = _batch_radii(_terminal(maxima, phases), threads)
             growing = float(radii.max()) ** (1.0 / k) > c_s * (1 + 1e-12)
-    bounded = _upper_bounds(s, q, best)[1] * (1 + 1e-12) < c_s
+    bounded = _clears(_upper_bounds(s, q, best)[1], c_s)
     verdict = "inconclusive"
     if query.m >= 2 and bounded != growing:
         verdict = "bounded" if bounded else "growing"

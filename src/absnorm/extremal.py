@@ -15,10 +15,12 @@ Evaluation does not extend a product y at level j once c^-j ||y|| G_{m-j}
 (1 + 1e-9) cannot reach the best term, where G_r >= c^-k ||A D ... D A||_2
 for every word of length k <= r: the value is the full tree's, bit for bit.
 The exact level maxima behind G_r also give the evaluator's certified upper
-bound on mu(A), so building a norm walks the word tree once, and only the
+bound on mu(A), so building a norm walks A's word tree once, and only the
 prefixes of that tree that can still attain a level maximum
 (``bounds._levels`` with no lower side, whose own beam bounds each maximum
-from below).
+from below): growth's walk, rooted and capped by growth's rule, so the bound
+is growth's at that depth in every bit.  The evaluator extends its rows by
+the factors D·A^T of the same letters, as x^T D A^T = (A D x)^T.
 
 The evaluator walks a stack of vectors at once.  Each vector keeps its own
 power-of-two scale and its own best term, and a product is dropped against
@@ -38,6 +40,7 @@ import numpy as np
 from .bounds import (
     _CHUNK,
     _bound_levels,
+    _clears,
     _exponent,
     _extend,
     _levels,
@@ -49,7 +52,6 @@ from .bounds import (
 from .diagonals import _check_grid_q, _is_count
 from .errors import DimensionError
 from .matrices import (
-    COMPLEX,
     REAL,
     Matrix,
     WeightedLpNorm,
@@ -82,10 +84,12 @@ class TruncatedExtremalNorm:
     """Evaluator state for the depth-m truncated extremal norm.
 
     ``certified_upper`` is the certified upper bound on mu(A) read from the
-    evaluator's own level maxima (``bounds._upper_bounds``), and
-    ``c_below_certified_upper`` is set when c does not exceed it; the infinite
-    construction requires c > mu(A), so such evaluators cannot be contractions.
-    Both are derived, never passed.
+    level maxima of A's tree that also bound the evaluator (``bounds._upper_bounds``
+    of their best root), and ``c_below_certified_upper`` is set unless c exceeds
+    it by more than 1e-12 relative (``bounds._clears``), exactly where growth at
+    that depth withholds ``bounded``; the infinite construction requires
+    c > mu(A), so such evaluators cannot be contractions.  Both are derived,
+    never passed.
     """
 
     matrix: Matrix
@@ -94,8 +98,9 @@ class TruncatedExtremalNorm:
     grid_q: int
     certified_upper: float = field(init=False)
     c_below_certified_upper: bool = field(init=False)
-    # From 2^-e A and _c = c 2^-e: the factors D·A^T that extend a row (x^T D A^T =
-    # (A D x)^T), and _subtree[r] >= max_{k <= r} c^-k max_words ||A D_1 ... D_{k-1} A||_2.
+    # From 2^-e A and _c = c 2^-e: the factors D·A^T, one per letter of A's walk, that
+    # extend a row (x^T D A^T = (A D x)^T), and from that walk's maxima
+    # _subtree[r] >= max_{k <= r} c^-k max_words ||A D_1 ... D_{k-1} A||_2.
     _c: float = field(init=False, repr=False, compare=False)
     _factors: np.ndarray = field(init=False, repr=False, compare=False)
     _subtree: np.ndarray = field(init=False, repr=False, compare=False)
@@ -108,21 +113,22 @@ class TruncatedExtremalNorm:
         _check_grid_q(self.grid_q)
         s, e = _normalized(self.matrix)
         c = _scaled_threshold(self.c, e, self.m + 1, "scale c")
-        q, _, _, arr, factors = _search_setup(Matrix(s.field, s.arr.T), self.grid_q, self.m)
-        # Exact maxima M_k of the tree of A^T (the transposes of A's interiors)
-        # while a level fits one chunk, to depth m + 1 and at least 4 for the
-        # certified upper bound; deeper, M_{a+b} <= M_a M_b.
+        q, _, phases, arr, da = _search_setup(s, self.grid_q, self.m)
+        # Exact maxima M_k of A's tree while a level fits one chunk, to depth
+        # m + 1 and at least 4 for the certified upper bound, rooted and capped
+        # as growth does at that depth; deeper, M_{a+b} <= M_a M_b.
         depth = max(self.m + 1, 4)
-        exact = next(k for k in range(1, depth + 1) if k == depth or len(factors) ** k > _CHUNK)
-        top = [t for _, _, _, t, _ in _levels(arr, factors, exact, 1)]
-        best = min(t ** (1.0 / k) for k, t in enumerate(top, start=1))
-        certified = _upper_bounds(s, q, best)[1] * 2.0**e
+        exact = next(k for k in range(1, depth + 1) if k == depth or len(da) ** k > _CHUNK)
+        levels = [(level.root(), top) for _, level, _, top, _ in _levels(arr, da, exact, 1)]
+        certified = _upper_bounds(s, q, min(root for root, _ in levels))[1]
+        top = [t for _, t in levels]
         _bound_levels(top, top[-1], exact, exact + self.m + 1)
         bound = np.maximum.accumulate(np.array(top[: self.m + 1]) * c ** -np.arange(1.0, self.m + 2))
-        object.__setattr__(self, "certified_upper", certified)
-        object.__setattr__(self, "c_below_certified_upper", self.c <= certified)
+        object.__setattr__(self, "certified_upper", certified * 2.0**e)
+        object.__setattr__(self, "c_below_certified_upper", not _clears(certified, c))
         object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_factors", factors)
+        # C order: a transposed view would round the evaluator's products apart.
+        object.__setattr__(self, "_factors", phases[:, :, None] * np.ascontiguousarray(arr.T)[None])
         object.__setattr__(self, "_subtree", np.concatenate(([0.0], bound)))
 
     @property
@@ -131,7 +137,7 @@ class TruncatedExtremalNorm:
 
     @property
     def complex_letters(self) -> bool:
-        return self.matrix.field == COMPLEX or self.grid_q > 2
+        return np.iscomplexobj(self._factors)
 
 
 def build_norm(a, c: float, m: int, grid_q: int = 2) -> TruncatedExtremalNorm:

@@ -20,7 +20,9 @@ or a nonpositive u certifies lambda <= rho(B).
 * resolvent bisection with w = ones: bisecting lambda between the two
   sides closes a certified interval at a guaranteed rate.  It takes over
   when a Noda step fails or stops shrinking the bracket, which is how
-  reducible and nilpotent B close.
+  reducible and nilpotent B close.  A nilpotent B on which it too stalls
+  (the resolvent overflows near 0) is certified by its support: an
+  acyclic digraph means B^n = 0.
 
 Noda's iteration starts after at most n // 3 Collatz-Wielandt power
 steps w <- B^T w / sum(B^T w), each reusing the product B^T w that
@@ -77,6 +79,10 @@ class PerronResult:
     lambda proves the Collatz-Wielandt infimum, hence rho(B), is at
     least lambda).  ``iterations`` is the number of resolvent solves,
     Noda steps and bisection steps together; power steps are not counted.
+
+    A nilpotent B whose bracket cannot close is certified by its support
+    instead: rho is 0.0 with bracket (0.0, 0.0) when its digraph has no
+    cycle, and ``left_vector`` is only the best test vector reached.
     """
 
     rho: float
@@ -157,6 +163,18 @@ def _m_matrix_solve(a, rhs):
     return u
 
 
+def _acyclic(bmat):
+    """Whether the support digraph of B (i -> j where b_ij > 0) has no cycle, so that
+    B^n = 0 and rho(B) = 0: its sources are peeled one level at a time."""
+    support, live = bmat > 0, np.ones(len(bmat), dtype=bool)
+    while live.any():
+        sources = live & ~support[live].any(axis=0)
+        if not sources.any():
+            return False
+        live &= ~sources
+    return True
+
+
 class _Bracket:
     """Running certified interval with the best witness vector."""
 
@@ -205,13 +223,14 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
     say whether it lies above rho(B).  The interval is closed when its
     width is at most ``max(tol * min(1, max b_ij), 4 eps rho)``.
     ``iterations`` counts the resolvent solves of Noda's iteration and the
-    bisection.
+    bisection.  An interval that cannot be closed on a B with an acyclic
+    support digraph, hence B^n = 0, returns rho 0.0 with bracket (0.0, 0.0).
 
     Raises
     ------
     NonConvergenceError
-        If the certified interval cannot be closed; carries the last
-        bracket.
+        If the certified interval cannot be closed and the support of B
+        has a cycle; carries the last bracket.
     """
     if not 0 < tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -286,6 +305,8 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
             # The resolvent vector no longer improves the certified upper
             # side; the interval cannot shrink further numerically.
             break
+    if _acyclic(bmat):
+        return PerronResult(0.0, bracket.vector, iterations, (0.0, 0.0))
     raise NonConvergenceError(
         "certified interval for the spectral radius did not close",
         iterations=iterations,

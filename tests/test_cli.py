@@ -95,6 +95,16 @@ class TestMu:
         code, _ = run(capsys, ["mu", str(path)])
         assert code == EXIT_INPUT_ERROR
 
+    def test_nilpotent_shift_is_exactly_zero(self, capsys, tmp_path):
+        # mu(A) = rho(|A|) = 0 for the nonnegative nilpotent shift.
+        path = tmp_path / "shift.json"
+        path.write_text(json.dumps({"field": "real", "n": 50, "rows": np.eye(50, k=1).tolist()}))
+        code, out = run(capsys, ["mu", str(path), "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["lower"] == payload["upper"] == 0.0
+        assert payload["exact"] is True and payload["shortcut"] == "nonnegative"
+
     def test_capacity_exits_3(self, capsys, hadamard_file):
         code, _ = run(capsys, ["mu", hadamard_file, "--depth", "40"])
         assert code == EXIT_COMPUTE_ERROR

@@ -157,6 +157,21 @@ class TestBuild:
         with pytest.raises(CapacityError):
             build_norm(a, c=2.0, m=14)
 
+    def test_row_factors_are_letters_times_transpose(self):
+        # x^T D A^T = (A D x)^T on 2^-e A, one factor per letter of A's walk,
+        # C-ordered: a transposed view rounds the evaluator's products apart.
+        rng = np.random.default_rng(38)
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        real = 3.0 * rng.standard_normal((3, 3))
+        for a, q, letters in [(real, 2, enumerate_sign_diagonals(3, quotient=True)),
+                              (real, 4, enumerate_phase_diagonals(3, 4, quotient=True)),
+                              (z, 4, enumerate_phase_diagonals(3, 4, quotient=True))]:
+            norm = build_norm(a, c=100.0, m=2, grid_q=q)
+            scaled = np.ldexp(1.0, -int(np.frexp(np.abs(a).max())[1])) * a.T
+            assert norm._factors.flags.c_contiguous
+            assert norm.complex_letters == (q > 2)
+            np.testing.assert_array_equal(norm._factors, [d.phases[:, None] * scaled for d in letters])
+
     def test_subtree_bounds_dominate_products(self):
         # A 2x2 real matrix has L = 2 letters; its interior tree has 2^17 >
         # _CHUNK interiors at depth 18, so the last bound comes from M_a M_b.
@@ -176,6 +191,28 @@ class TestBuild:
             assert norm._subtree[k] >= best * (1 - 1e-12)
         assert norm._subtree[0] == 0.0
         assert len(norm._subtree) == m + 2
+
+
+@pytest.fixture
+def growth_at_depth_4(monkeypatch):
+    """Growth's verdict at depth 4 and threshold c with its certified upper bound,
+    the second value of ``bounds._upper_bounds``, read through a patched copy."""
+    import absnorm.bounds as bounds_mod
+
+    upper_bounds, seen = bounds_mod._upper_bounds, []
+
+    def recording(s, q, best, perron=None):
+        out = upper_bounds(s, q, best, perron)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(bounds_mod, "_upper_bounds", recording)
+
+    def run(a, q, c):
+        verdict = check_growth_condition(a, GrowthQuery(eps=None, m=4, level=c), grid_q=q).verdict
+        return verdict, seen[-1] * 2.0 ** bounds_mod._exponent(np.asarray(a))
+
+    return run
 
 
 class TestCertifiedUpper:
@@ -206,6 +243,37 @@ class TestCertifiedUpper:
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         for a, q in [(SHARP, 2), (HADAMARD, 2), (rng.standard_normal((4, 4)), 2), (z, 4)]:
             build_norm(a, c=10.0, m=3, grid_q=q)
+
+    @staticmethod
+    def seeded_inputs(count, seed):
+        # m = 3 walks exact maxima to depth 4 on all of these (L^4 <= _CHUNK).
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            if i % 4 == 3:
+                n = 2 + i // 4 % 2
+                yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 4
+            else:
+                n = 2 + i % 3
+                yield rng.standard_normal((n, n)), 2
+
+    def test_equals_growth_bound_bit_for_bit(self, growth_at_depth_4):
+        # One walk of A's tree, one rounding of M_k^(1/k) and one cap: the
+        # evaluator's certificate is growth's at the same depth in every bit.
+        for i, (a, q) in enumerate(self.seeded_inputs(320, 91)):
+            norm = build_norm(a, c=10 * np.abs(a).sum(), m=3, grid_q=q)
+            _, certified = growth_at_depth_4(a, q, norm.c)
+            assert norm.certified_upper == certified, (i, q)
+
+    def test_warning_agrees_with_growth_verdict(self, growth_at_depth_4):
+        # Within an ulp or two of the certificate, build_norm warns exactly
+        # where growth at that depth withholds "bounded" (no word grows there).
+        for i, (a, q) in enumerate([(SHARP, 2), *self.seeded_inputs(24, 92)]):
+            certified = TruncatedExtremalNorm(as_matrix(a), 1.0, 3, q).certified_upper
+            for j in range(-2, 3):
+                c = certified * (1 + j * 2.0**-52)
+                norm = TruncatedExtremalNorm(as_matrix(a), c, 3, q)
+                verdict, _ = growth_at_depth_4(a, q, c)
+                assert norm.c_below_certified_upper == (verdict != "bounded"), (i, j)
 
     def test_never_looser_than_bounds_search(self):
         # The depth-4 mu_bounds upper (the cap where it is heuristic) is the

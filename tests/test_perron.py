@@ -274,6 +274,38 @@ class TestPowerSteps:
         assert r.rho == pytest.approx(cw_max(b, r.left_vector), rel=1e-14)
 
 
+def permuted_strictly_triangular(seed, n=70):
+    rng = np.random.default_rng(seed)
+    b = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), 1)
+    p = rng.permutation(n)
+    return b[p][:, p]
+
+
+class TestNilpotent:
+    # Where the bracket cannot close, an acyclic support digraph certifies
+    # B^n = 0: rho is exactly 0, and the certificate is the support.
+    @pytest.mark.parametrize("n", [40, 50, 200])
+    def test_shift_is_exactly_zero(self, n):
+        r = nonneg_spectral_radius(np.eye(n, k=1))
+        assert r.rho == 0.0 and r.bracket == (0.0, 0.0)
+        assert r.iterations > 0 and np.all(r.left_vector > 0)
+
+    @pytest.mark.parametrize("seed", [2, 6, 9])
+    def test_permuted_strictly_triangular_is_exactly_zero(self, seed):
+        r = nonneg_spectral_radius(permuted_strictly_triangular(seed))
+        assert r.rho == 0.0 and r.bracket == (0.0, 0.0)
+
+    def test_reducible_with_positive_rho_is_not_zero(self):
+        # A self-loop on the shift's last vertex leaves a cycle, so rho > 0:
+        # the bracket closes around 1e-3, or stays open at 1e-12 as it did.
+        b = np.eye(50, k=1)
+        b[-1, -1] = 1e-3
+        assert contains(nonneg_spectral_radius(b).bracket, 1e-3, 1e-7)
+        b[-1, -1] = 1e-12
+        with pytest.raises(NonConvergenceError):
+            nonneg_spectral_radius(b)
+
+
 class TestScale:
     @pytest.mark.parametrize("s", [1e-200, 1e-12, 1e12, 1e200])
     def test_cyclic_bracket_is_relative(self, s):

@@ -166,7 +166,7 @@ class GrowthReport:
         object.__setattr__(self, "sequence", tuple(float(g) for g in self.sequence))
 
 
-def _search_setup(m, grid_q, depth=0):
+def _search_setup(m, grid_q, depth):
     """Alphabet, matrix in the search dtype and interior factors of a walk.
 
     Returns ``(q, exponents, phases, arr, da)`` with da the factors D·A and q
@@ -307,25 +307,23 @@ def _first_within_tie(blocks):
     maximum of consecutive blocks of values >= 0, each given by ``_leaders``.
 
     Every entry before the first one at or above the threshold is below
-    it, so that entry is a strict left-to-right maximum and the leaders
-    suffice.  A NaN anywhere gives the first NaN, else an infinite maximum
-    its first occurrence.
+    it, so that entry leads its own block and no earlier leader reaches
+    the threshold.  A NaN anywhere gives the first NaN, else an infinite
+    maximum its first occurrence.
     """
-    index, value, nans, start, top = [], [], [], 0, -np.inf
+    index, value, nans, start = [], [], [], 0
     for lead, lead_value, nan, size in blocks:
-        rise = lead_value > top  # a block's leaders increase, so this is a suffix
-        index.append(start + lead[rise])
-        value.append(lead_value[rise])
+        index.append(start + lead)
+        value.append(lead_value)
         nans.append(start + nan)
-        top = value[-1][-1] if rise.any() else top
         start += size
     nans = np.concatenate(nans)
     if nans.size:
         return int(nans[0]), math.nan
     index, value = np.concatenate(index), np.concatenate(value)
-    vmax = float(value[-1])
+    vmax = float(value.max())
     if not math.isfinite(vmax):
-        return int(index[-1]), vmax
+        return int(index[np.argmax(value)]), vmax
     thresh = vmax - _TIE_REL * max(1.0, abs(vmax))
     first = int(np.argmax(value >= thresh))
     return int(index[first]), float(value[first])

@@ -81,17 +81,6 @@ class UnimodularDiagonal:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.phases)
 
-    def matrix(self) -> Matrix:
-        field = REAL if self.is_real else COMPLEX
-        return Matrix(field, np.diag(self.phases))
-
-    def conj(self) -> "UnimodularDiagonal":
-        if self.is_real:
-            return self
-        q = self.q
-        idx = None if self.indices is None else tuple((-i) % q for i in self.indices)
-        return UnimodularDiagonal(np.conj(self.phases), q=q, indices=idx)
-
     def negate(self) -> "UnimodularDiagonal":
         idx = None
         if self.indices is not None and self.q is not None and self.q % 2 == 0:

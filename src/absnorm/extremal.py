@@ -56,8 +56,6 @@ from .matrices import (
     Matrix,
     WeightedLpNorm,
     as_matrix,
-    matrix_from_json,
-    matrix_to_json,
 )
 
 __all__ = [
@@ -70,8 +68,6 @@ __all__ = [
     "ContractionReport",
     "AxiomReport",
     "GapReport",
-    "norm_to_json",
-    "norm_from_json",
 ]
 
 # Worst-case product rows of one block of evaluated vectors: L^depth per
@@ -414,21 +410,3 @@ def complexify_gap_search(a, norm, trials: int = 200, seed: int = 0) -> GapRepor
         complex_sup = sup(complex_sup, np.abs(zs), np.abs(_images(arr, zs)))
     return GapReport(float(real_sup), float(complex_sup), float(complex_sup - real_sup))
 
-
-def norm_to_json(norm: TruncatedExtremalNorm) -> dict:
-    """Descriptor for round-tripping: ``{"A": ..., "c": ..., "m": ..., "grid_q": ...}``."""
-    return {
-        "A": matrix_to_json(norm.matrix),
-        "c": norm.c,
-        "m": norm.m,
-        "grid_q": norm.grid_q,
-    }
-
-
-def norm_from_json(data) -> TruncatedExtremalNorm:
-    return build_norm(
-        matrix_from_json(data["A"]),
-        c=float(data["c"]),
-        m=int(data["m"]),
-        grid_q=int(data["grid_q"]),
-    )

@@ -85,20 +85,17 @@ class Matrix:
         return hash((self.field, self.arr.shape, self.arr.tobytes()))
 
 
-def as_matrix(a, field=None) -> Matrix:
+def as_matrix(a) -> Matrix:
     """Coerce ``a`` to a :class:`Matrix`.
 
     Arrays and nested sequences are accepted; the field tag is inferred
-    from the data unless given explicitly (complex data with all-zero
-    imaginary parts infers ``"real"``).
+    from the data (complex data with all-zero imaginary parts infers
+    ``"real"``).
     """
     if isinstance(a, Matrix):
-        if field is not None and field != a.field:
-            return Matrix(field, a.arr)
         return a
     arr = np.asarray(a)
-    if field is None:
-        field = COMPLEX if np.iscomplexobj(arr) and np.any(arr.imag != 0) else REAL
+    field = COMPLEX if np.iscomplexobj(arr) and np.any(arr.imag != 0) else REAL
     return Matrix(field, arr)
 
 

@@ -20,9 +20,10 @@ or a nonpositive u certifies lambda <= rho(B).
 * resolvent bisection with w = ones: bisecting lambda between the two
   sides closes a certified interval at a guaranteed rate.  It takes over
   when a Noda step fails or stops shrinking the bracket, which is how
-  reducible and nilpotent B close.  A nilpotent B on which it too stalls
-  (the resolvent overflows near 0) is certified by its support: an
-  acyclic digraph means B^n = 0.
+  reducible and nilpotent B close.  A B on which it too stalls (the
+  resolvent overflows near 0) is narrowed by its support: peeling the
+  sources and sinks of its digraph leaves a core with B's radius, empty
+  (B^n = 0) or bracketed on its own.
 
 Noda's iteration starts after at most n // 3 Collatz-Wielandt power
 steps w <- B^T w / sum(B^T w), each reusing the product B^T w that
@@ -80,9 +81,10 @@ class PerronResult:
     least lambda).  ``iterations`` is the number of resolvent solves,
     Noda steps and bisection steps together; power steps are not counted.
 
-    A nilpotent B whose bracket cannot close is certified by its support
-    instead: rho is 0.0 with bracket (0.0, 0.0) when its digraph has no
-    cycle, and ``left_vector`` is only the best test vector reached.
+    Where B's bracket cannot close, rho and ``bracket`` are certified by its
+    support instead (see :func:`nonneg_spectral_radius`): 0.0 and (0.0, 0.0)
+    for an empty core, else the core's.  ``left_vector`` is then only B's
+    best test vector, and ``iterations`` counts the core's steps too.
     """
 
     rho: float
@@ -163,16 +165,17 @@ def _m_matrix_solve(a, rhs):
     return u
 
 
-def _acyclic(bmat):
-    """Whether the support digraph of B (i -> j where b_ij > 0) has no cycle, so that
-    B^n = 0 and rho(B) = 0: its sources are peeled one level at a time."""
+def _core(bmat):
+    """Mask of the vertices of B's support digraph (i -> j where b_ij > 0) left
+    when its sources and sinks are peeled one level at a time.  Each peeled
+    vertex is a zero 1x1 diagonal block of B, so rho(B) = rho(B[core, core]);
+    an empty core means the digraph has no cycle, so B^n = 0 and rho(B) = 0."""
     support, live = bmat > 0, np.ones(len(bmat), dtype=bool)
-    while live.any():
-        sources = live & ~support[live].any(axis=0)
-        if not sources.any():
-            return False
-        live &= ~sources
-    return True
+    while True:
+        peel = live & ~(support[live].any(axis=0) & support[:, live].any(axis=1))
+        if not peel.any():
+            return live
+        live &= ~peel
 
 
 class _Bracket:
@@ -223,14 +226,18 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
     say whether it lies above rho(B).  The interval is closed when its
     width is at most ``max(tol * min(1, max b_ij), 4 eps rho)``.
     ``iterations`` counts the resolvent solves of Noda's iteration and the
-    bisection.  An interval that cannot be closed on a B with an acyclic
-    support digraph, hence B^n = 0, returns rho 0.0 with bracket (0.0, 0.0).
+    bisection.  An interval that cannot be closed peels the sources and
+    sinks of B's support digraph level by level (:func:`_core`).  An empty
+    core, hence B^n = 0, returns rho 0.0 with bracket (0.0, 0.0); a smaller
+    core returns its own rho and bracket, from a call on B[core, core].
+    Either way ``left_vector`` is only B's best test vector.
 
     Raises
     ------
     NonConvergenceError
-        If the certified interval cannot be closed and the support of B
-        has a cycle; carries the last bracket.
+        If the certified interval cannot be closed and nothing peels off
+        the support of B, or the core's interval cannot be closed; carries
+        the last bracket.
     """
     if not 0 < tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -238,8 +245,6 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
     n = bmat.shape[0]
     bt = bmat.T
     bmax = float(bmat.max())
-    if bmax == 0.0:
-        return PerronResult(0.0, np.ones(n) / n, 0, (0.0, 0.0))
 
     bracket = _Bracket(bt, tol, bmax)
     v = bracket.observe(np.ones(n) / n)
@@ -305,8 +310,12 @@ def nonneg_spectral_radius(b, tol: float = 1e-10) -> PerronResult:
             # The resolvent vector no longer improves the certified upper
             # side; the interval cannot shrink further numerically.
             break
-    if _acyclic(bmat):
+    core = _core(bmat)
+    if not core.any():
         return PerronResult(0.0, bracket.vector, iterations, (0.0, 0.0))
+    if not core.all():
+        sub = nonneg_spectral_radius(bmat[np.ix_(core, core)], tol)
+        return PerronResult(sub.rho, bracket.vector, iterations + sub.iterations, sub.bracket)
     raise NonConvergenceError(
         "certified interval for the spectral radius did not close",
         iterations=iterations,

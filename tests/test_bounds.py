@@ -1165,6 +1165,23 @@ class TestBalancedCut:
             chain, _ = bounds_mod._normalized(as_matrix(0.9 * np.eye(40, k=1)))
             assert bounds_mod._balance(chain) is None
 
+    def test_no_ratio_when_the_perron_run_raises(self, monkeypatch):
+        # A Perron run that does not close leaves the walk unscaled.
+        import absnorm.bounds as bounds_mod
+        from absnorm import NonConvergenceError
+
+        def open_bracket(b, tol=1e-10):
+            raise NonConvergenceError("did not close", iterations=1, bracket=(0.0, 1.0))
+
+        a = np.random.default_rng(5).standard_normal((4, 4))
+        s, _ = bounds_mod._normalized(as_matrix(a))
+        assert bounds_mod._balance(s) is not None
+        monkeypatch.setattr(bounds_mod, "nonneg_spectral_radius", open_bracket)
+        assert bounds_mod._balance(s) is None
+        got = mu_lower_bound(a, 5)
+        _unscaled(monkeypatch)
+        assert got == mu_lower_bound(a, 5)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_reducible_inputs_clip_the_ratio(self, monkeypatch, seed):
         # Block-triangular |A|: the ratio spans at most 2^32 either way, and

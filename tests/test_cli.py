@@ -105,6 +105,18 @@ class TestMu:
         assert payload["lower"] == payload["upper"] == 0.0
         assert payload["exact"] is True and payload["shortcut"] == "nonnegative"
 
+    def test_tiny_cycle_is_exact(self, capsys, tmp_path):
+        # The shift with a 1e-12 self-loop: mu(A) = rho(|A|) is that corner entry.
+        b = np.eye(50, k=1)
+        b[-1, -1] = 1e-12
+        path = tmp_path / "tiny.txt"
+        np.savetxt(path, b)
+        code, out = run(capsys, ["mu", str(path), "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["lower"] == payload["upper"] == 1e-12
+        assert payload["exact"] is True and payload["shortcut"] == "nonnegative"
+
     def test_capacity_exits_3(self, capsys, hadamard_file):
         code, _ = run(capsys, ["mu", hadamard_file, "--depth", "40"])
         assert code == EXIT_COMPUTE_ERROR

@@ -224,6 +224,14 @@ class TestWordSerialization:
         assert canon.letters[0].phases[0] == 1.0
         assert np.array_equal(canon.letters[0].phases, [1.0, -1.0])
 
+    def test_canonical_grid_letter_shifts_its_indices(self):
+        # (i, -i) on the q = 4 grid scales by -i to (1, -1): indices (1, 3) -> (0, 2).
+        d = UnimodularDiagonal(np.array([1j, -1j]), q=4, indices=(1, 3))
+        canon = DiagonalWord((d,)).canonical().letters[0]
+        assert canon.q == 4 and canon.indices == (0, 2)
+        assert canon.phases.tolist() == [1 + 0j, -1 + 0j]
+        assert word_to_json(DiagonalWord((d,))) == [[0, 2]]
+
     def test_canonical_complex_lead_exactly_one(self):
         phases = np.exp(2j * np.pi * np.array([0.31, 0.77]))
         canon = DiagonalWord((UnimodularDiagonal(phases),)).canonical()
@@ -231,23 +239,11 @@ class TestWordSerialization:
 
 
 class TestDiagonalHelpers:
-    def test_conj_grid_indices(self):
-        d = enumerate_phase_diagonals(2, 4, quotient=True)[1]  # (1, i)
-        conj = d.conj()
-        assert np.array_equal(conj.phases, [1, -1j])
-        assert conj.indices == (0, 3)
-
     def test_negate_roundtrip(self):
         d = enumerate_sign_diagonals(3, quotient=True)[2]
         again = d.negate().negate()
         assert np.array_equal(again.phases, d.phases)
         assert again.indices == d.indices
-
-    def test_matrix_materialization(self):
-        d = UnimodularDiagonal(np.array([1.0, -1.0]))
-        m = d.matrix()
-        assert m.field == "real"
-        assert np.array_equal(m.arr, [[1, 0], [0, -1]])
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import warnings
 
 import numpy as np
@@ -20,8 +19,6 @@ from absnorm import (
     enumerate_sign_diagonals,
     eval_norm,
     mu_bounds,
-    norm_from_json,
-    norm_to_json,
     nonneg_spectral_radius,
     verify_norm_axioms,
 )
@@ -431,6 +428,11 @@ class TestEval:
         expected = contraction_check(base, trials=5, seed=0).max_empirical_ratio
         assert ratio / s == pytest.approx(expected, rel=1e-12)
 
+    def test_rejects_vector_of_other_shape(self, sharp_norm):
+        for x in ([1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0):
+            with pytest.raises(DimensionError):
+                eval_norm(sharp_norm, x)
+
     def test_rejects_complex_vector_on_real_letters(self, sharp_norm):
         with pytest.raises(ValueError):
             eval_norm(sharp_norm, np.array([1j, 0.0]))
@@ -577,6 +579,14 @@ class TestGapSearch:
         with pytest.raises(ValueError):
             complexify_gap_search(np.array([[1j]]), WeightedLpNorm([1.0], 1))
 
+    def test_rejects_complex_extremal_norm(self):
+        with pytest.raises(ValueError, match="real absolute norm"):
+            complexify_gap_search(SHARP, build_norm(SHARP * 1j, c=2.5, m=1))
+
+    def test_rejects_unknown_descriptor(self):
+        with pytest.raises(TypeError, match="unsupported norm descriptor"):
+            complexify_gap_search(SHARP, np.ones(2))
+
     @pytest.mark.parametrize("norm", [WeightedLpNorm([1.0], 1), WeightedLpNorm(np.ones(3), 2)])
     def test_rejects_norm_of_other_dimension(self, norm):
         with pytest.raises(DimensionError):
@@ -611,18 +621,6 @@ class TestImages:
         assert extremal_mod._images(a, xs).tobytes() == np.array([a @ x for x in xs]).tobytes()
         probes = [np.eye(n)[j] for j in range(n)]
         assert extremal_mod._images(a, probes).tobytes() == np.array([a @ x for x in probes]).tobytes()
-
-
-class TestDescriptorJson:
-    def test_round_trip(self, sharp_norm):
-        data = json.loads(json.dumps(norm_to_json(sharp_norm)))
-        again = norm_from_json(data)
-        assert again.matrix == sharp_norm.matrix
-        assert again.c == sharp_norm.c
-        assert again.m == sharp_norm.m
-        assert again.grid_q == sharp_norm.grid_q
-        x = np.array([0.7, -0.2])
-        assert eval_norm(again, x) == eval_norm(sharp_norm, x)
 
 
 def per_vector_levels(norm, x, depth):

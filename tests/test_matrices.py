@@ -168,12 +168,6 @@ class TestMatrixType:
         assert as_matrix([[1j]]).field == "complex"
         assert as_matrix(np.array([[1.0 + 0j]])).field == "real"
 
-    def test_field_override(self):
-        m = as_matrix([[1.0]], field="complex")
-        assert m.field == "complex" and m.arr.dtype == np.complex128
-        widened = as_matrix(as_matrix([[2.0]]), field="complex")
-        assert widened.field == "complex"
-
     @pytest.mark.parametrize("layout", ["transpose", "fortran", "strided"])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_stored_c_contiguous(self, layout, dtype):

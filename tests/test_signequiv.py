@@ -7,6 +7,7 @@ import pytest
 from absnorm import (
     EquivalenceWitness,
     InconsistencyCertificate,
+    Matrix,
     UnimodularDiagonal,
     as_matrix,
     is_nonnegative,
@@ -94,7 +95,7 @@ class TestSoundness:
             d = np.exp(2j * np.pi * rng.random(n))
             e = np.exp(2j * np.pi * rng.random(n))
             a = d[:, None] * b * e[None, :]
-            result = sign_equivalent_to_abs(as_matrix(a, field="complex"))
+            result = sign_equivalent_to_abs(Matrix("complex", a))
             assert isinstance(result, EquivalenceWitness)
             top = np.max(np.abs(a)) or 1.0
             assert np.max(np.abs(reconstruct(result, a) - a)) <= 1e-9 * top
@@ -157,7 +158,7 @@ class TestIsNonnegative:
         assert not is_nonnegative([[1, -1], [0, 2]])
 
     def test_complex_with_zero_imag(self):
-        assert is_nonnegative(as_matrix(np.array([[1 + 0j]]), field="complex"))
+        assert is_nonnegative(Matrix("complex", np.array([[1 + 0j]])))
         assert not is_nonnegative(np.array([[1j]]))
 
 

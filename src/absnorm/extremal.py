@@ -25,10 +25,12 @@ the factors D·A^T of the same letters, as x^T D A^T = (A D x)^T.
 The evaluator walks a stack of vectors at once.  Each vector keeps its own
 power-of-two scale and its own best term, and a product is dropped against
 its own vector's best, so each vector's terms are those of a walk of that
-vector alone.  The audits draw their trials in the generator order of a
-per-trial loop and evaluate all the vectors of a block in one walk.  A block
-holds at most 2^18 worst-case product rows (L^depth per vector for L
-letters, one vector at least), so memory does not grow with ``trials``.
+vector alone.  The walk budgets the rows it actually builds: a level that
+would hold more than 2^16 rows extends only its leading whole vectors and
+sets the rest aside to walk later.  The audits draw their trials in the
+generator order of a per-trial loop, in blocks of one level's budget (2^16 / L
+vectors for L letters), one walk per block, so memory does not grow with
+``trials``.
 """
 
 import math
@@ -70,9 +72,9 @@ __all__ = [
     "GapReport",
 ]
 
-# Worst-case product rows of one block of evaluated vectors: L^depth per
-# vector when nothing is pruned, as for c below mu(A).
-_BLOCK_ROWS = 1 << 18
+# Product rows the evaluator holds at once: the rows a level extension builds
+# plus the rest of that level and the remainders set aside (``_eval_levels``).
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,43 +157,61 @@ def _eval_levels(norm: TruncatedExtremalNorm, xs, depth):
     0..``depth`` (see the module docstring) at the rows of the (V, n) stack ``xs``.
     Row v is walked as 2^-f_v x_v and scaled back by 2^f_v, so that no square
     under- or overflows.  The products of each row stay contiguous and in row
-    order, so a level's maxima are one ``reduceat`` over the rows' segments."""
+    order, so a level's maxima are one ``reduceat`` over the rows' segments.
+
+    A level is extended as far as its leading whole vectors fit, one vector at
+    least: the rows held afterwards (the new rows, the rest of the level and
+    every remainder set aside) stay within ``_BLOCK_ROWS``.  The rest is set
+    aside with its level and scale and walked later.  On a stack of at most
+    ``_BLOCK_ROWS`` vectors the remainders never hold more than ``_BLOCK_ROWS``
+    rows, and an extension builds at most ``_BLOCK_ROWS`` rows or one vector's
+    level.  A vector's level is extended in one piece and pruned against its
+    own best, so its terms are those of its own walk."""
     xs = np.asarray(xs, dtype=complex if norm.complex_letters or np.iscomplexobj(xs) else float)
     f = _exponent(xs, axis=1)
     level = (xs * np.ldexp(1.0, -f)[:, None])[:, None, :]
     norms = np.linalg.norm(level[:, 0], axis=1)
-    best, owner, scale = norms.copy(), np.arange(len(xs)), 1.0
-    running = np.empty((len(xs), depth + 1))
+    best, letters = norms.copy(), len(norm._factors)
+    # Levels a vector's walk never reached read -inf until the running maximum.
+    running = np.full((len(xs), depth + 1), -np.inf)
     running[:, 0] = best
-    for j in range(1, depth + 1):
-        keep = ~(scale * norms * (norm._subtree[depth - j + 1] * (1 + 1e-9)) <= best[owner])
-        level, owner = level[keep], owner[keep]
-        if not len(level):
-            running[:, j:] = best[:, None]
-            break
-        scale /= norm._c
-        level = _extend(level, norm._factors)
-        owner = np.repeat(owner, len(norm._factors))
-        norms = np.linalg.norm(level[:, 0], axis=1)
-        starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
-        ids = owner[starts]
-        # fmax keeps best where a term is NaN, as max(best, term) did per vector.
-        best[ids] = np.fmax(best[ids], scale * np.maximum.reduceat(norms, starts))
-        running[:, j] = best
+    aside = [(level, np.arange(len(xs)), norms, 1, 1.0)]
+    while aside:
+        level, owner, norms, j, scale = aside.pop()
+        held = sum(len(rest[0]) for rest in aside)
+        while j <= depth:
+            keep = ~(scale * norms * (norm._subtree[depth - j + 1] * (1 + 1e-9)) <= best[owner])
+            level, owner = level[keep], owner[keep]
+            if not len(level):
+                break
+            starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+            k = len(level)
+            if k * letters + held > _BLOCK_ROWS and len(starts) > 1:
+                # The leading e of the k rows extend, whole vectors and one at least, with
+                # e L + (k - e) + held <= _BLOCK_ROWS.  The rest is copied aside, so that
+                # it does not keep the whole level alive.
+                ends = np.append(starts[1:], k)
+                fit = max(1, int(np.searchsorted(ends * (letters - 1), _BLOCK_ROWS - held - k, "right")))
+                e = ends[fit - 1]
+                aside.append((level[e:].copy(), owner[e:].copy(), norms[keep][e:].copy(), j, scale))
+                held += k - e
+                level, owner, starts = level[:e], owner[:e], starts[:fit]
+            ids = owner[starts]
+            scale /= norm._c
+            level = _extend(level, norm._factors)
+            owner = np.repeat(owner, letters)
+            norms = np.linalg.norm(level[:, 0], axis=1)
+            # fmax keeps best where a term is NaN, as max(best, term) did per vector.
+            terms = scale * np.maximum.reduceat(norms, starts * letters)
+            best[ids] = running[ids, j] = np.fmax(best[ids], terms)
+            j += 1
     with np.errstate(over="ignore"):  # a finite x whose value overflows reads inf
-        return running * np.ldexp(1.0, f)[:, None]
+        return np.maximum.accumulate(running, axis=1) * np.ldexp(1.0, f)[:, None]
 
 
-def _block_vectors(norm, depth):
-    """Vectors in one block of ``_eval_blocks``: at most ``_BLOCK_ROWS`` worst-case
-    rows, and at least one vector."""
-    return max(1, _BLOCK_ROWS // len(norm._factors) ** depth)
-
-
-def _eval_blocks(norm, xs, depth):
-    """``_eval_levels`` on the stack ``xs``, one block of vectors at a time."""
-    size = _block_vectors(norm, depth)
-    return np.concatenate([_eval_levels(norm, xs[i : i + size], depth) for i in range(0, len(xs), size)])
+def _block_vectors(norm):
+    """Vectors in one audit block: one level's ``_BLOCK_ROWS`` rows, one vector at least."""
+    return max(1, _BLOCK_ROWS // len(norm._factors))
 
 
 def _images(arr, xs):
@@ -252,12 +272,13 @@ def contraction_check(norm: TruncatedExtremalNorm, trials: int = 100, seed: int 
     _search_setup(norm.matrix, norm.grid_q, norm.m + 1)  # capacity of the m+1 walks
     rng = np.random.default_rng(seed)
     arr = norm.matrix.arr
+    n, cx = norm.n, norm.complex_letters
     failures = 0
     max_ratio = 0.0
-    for size in _blocks(trials, _block_vectors(norm, norm.m + 1)):
-        xs = np.array([_random_vector(rng, norm.n, norm.complex_letters) for _ in range(size)])
-        lhs = _eval_blocks(norm, _images(arr, xs), norm.m)[:, -1]
-        denom, deeper = _eval_blocks(norm, xs, norm.m + 1)[:, -2:].T  # N_m(x), N_{m+1}(x)
+    for size in _blocks(trials, _block_vectors(norm)):
+        xs = np.array([_random_vector(rng, n, cx) for _ in range(size)])
+        lhs = _eval_levels(norm, _images(arr, xs), norm.m)[:, -1]
+        denom, deeper = _eval_levels(norm, xs, norm.m + 1)[:, -2:].T  # N_m(x), N_{m+1}(x)
         failures += int(np.count_nonzero(lhs > norm.c * deeper * (1 + 1e-12)))
         positive = denom > 0
         max_ratio = float(np.fmax.reduce(lhs[positive] / denom[positive], initial=max_ratio))
@@ -292,21 +313,20 @@ def _random_vector(rng, n, complex_data):
 
 
 def _random_grid_diagonal(rng, n, q, complex_data):
-    if not complex_data:
-        return rng.choice((-1.0, 1.0), size=n)
+    if not complex_data:  # the draws of rng.choice((-1.0, 1.0), size=n), without its checks
+        return np.array((-1.0, 1.0))[rng.integers(0, 2, size=n)]
     k = rng.integers(0, q, size=n)
     return np.exp(2j * np.pi * k / q)
 
 
-def _axiom_draw(rng, norm):
+def _axiom_draw(rng, n, q, cx):
     """One axiom trial's x, y, t, d and s, in the audit's generator order."""
-    cx = norm.complex_letters
-    x = _random_vector(rng, norm.n, cx)
-    y = _random_vector(rng, norm.n, cx)
+    x = _random_vector(rng, n, cx)
+    y = _random_vector(rng, n, cx)
     t = rng.standard_normal()
     if cx:
         t = t * np.exp(2j * np.pi * rng.random())
-    return x, y, t, _random_grid_diagonal(rng, norm.n, norm.grid_q, cx), rng.random(norm.n)
+    return x, y, t, _random_grid_diagonal(rng, n, q, cx), rng.random(n)
 
 
 def verify_norm_axioms(norm: TruncatedExtremalNorm, trials: int = 1000, seed: int = 0) -> AxiomReport:
@@ -322,10 +342,11 @@ def verify_norm_axioms(norm: TruncatedExtremalNorm, trials: int = 1000, seed: in
     rng = np.random.default_rng(seed)
     tol = 1e-12
     counts = np.zeros(5, dtype=int)
-    for size in _blocks(trials, max(1, _block_vectors(norm, norm.m) // 6)):
-        x, y, t, d, s = map(np.array, zip(*(_axiom_draw(rng, norm) for _ in range(size))))
+    params = norm.n, norm.grid_q, norm.complex_letters
+    for size in _blocks(trials, max(1, _block_vectors(norm) // 6)):
+        x, y, t, d, s = map(np.array, zip(*(_axiom_draw(rng, *params) for _ in range(size))))
         stack = np.concatenate([x, y, t[:, None] * x, x + y, d * x, s * y])
-        vx, vy, scaled, vxy, vdx, vsy = _eval_blocks(norm, stack, norm.m)[:, -1].reshape(6, size)
+        vx, vy, scaled, vxy, vdx, vsy = _eval_levels(norm, stack, norm.m)[:, -1].reshape(6, size)
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite values count, not raise
             tvx = np.abs(t) * vx
             counts += [
@@ -351,7 +372,7 @@ def _norm_rows(norm, xs):
     """A weighted l_p or truncated extremal norm at the rows of the stack ``xs``."""
     if isinstance(norm, WeightedLpNorm):
         return np.linalg.norm(norm.w * xs, ord=norm.p, axis=1)
-    return _eval_blocks(norm, xs, norm.m)[:, -1]
+    return _eval_levels(norm, xs, norm.m)[:, -1]
 
 
 def complexify_gap_search(a, norm, trials: int = 200, seed: int = 0) -> GapReport:
@@ -396,7 +417,7 @@ def complexify_gap_search(a, norm, trials: int = 200, seed: int = 0) -> GapRepor
         return float(np.fmax.reduce(ratios, initial=start))
 
     # Two evaluated vectors per trial, x and A x; an l_p norm has one row per vector.
-    per_block = _block_vectors(norm, norm.m) if isinstance(norm, TruncatedExtremalNorm) else _BLOCK_ROWS
+    per_block = _block_vectors(norm) if isinstance(norm, TruncatedExtremalNorm) else _BLOCK_ROWS
     blocks = _blocks(trials, max(1, per_block // 2))
     real_sup = sup(0.0, np.array(probes), _images(arr, probes))
     for size in blocks:

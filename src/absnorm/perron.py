@@ -329,6 +329,12 @@ def optimal_weighted_l1(b, eps: float) -> WeightedLpNorm:
     The weights are the l1-normalized certificate vector of
     :func:`nonneg_spectral_radius` at tolerance ``min(eps/10, 1e-8)``; its
     max Collatz-Wielandt ratio is that call's rho, within tolerance of rho(B).
+
+    Float64 limits the margin: each edge i -> j of B's support needs
+    w_j >= b_ij w_i / (rho(B) + eps), so for rho(B) well below eps a chain of k
+    vertices joined by unit edges needs weights spanning about eps^-(k-1).  On the 50-vertex shift
+    with a 1e-12 self-loop, eps = 1e-6 returns weights spanning 1.09e299, and
+    eps = 1e-8 would need 1e392: that raises ``NonConvergenceError``.
     """
     if not 0 < eps < np.inf:  # NaN fails too
         raise ValueError(f"eps must be positive and finite, got {eps!r}")

@@ -542,6 +542,18 @@ class TestAxioms:
         report = verify_norm_axioms(norm, trials=300, seed=2)
         assert report.passed
 
+    def test_sign_diagonal_draws_as_choice(self):
+        # The real diagonals index (-1, 1) by rng.integers, as rng.choice does:
+        # the same values, and the generator left in the same state.
+        from absnorm.extremal import _random_grid_diagonal
+
+        for seed in range(100):
+            for n in range(1, 8):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = _random_grid_diagonal(rng, n, 2, False), ref.choice((-1.0, 1.0), size=n)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert rng.random() == ref.random()
+
 
 class TestGapSearch:
     def test_weighted_l1_closed_form_coincides(self):
@@ -716,7 +728,7 @@ class TestBatchedWalk:
         )
         monkeypatch.setattr(extremal_mod, "_BLOCK_ROWS", cap)
         for (nm, xs), levels in zip(cases, expected):
-            assert np.array_equal(extremal_mod._eval_blocks(nm, xs, nm.m), levels)
+            assert np.array_equal(extremal_mod._eval_levels(nm, xs, nm.m), levels)
         assert audits == (
             verify_norm_axioms(norm, trials=40, seed=3),
             contraction_check(norm, trials=15, seed=3),
@@ -833,7 +845,8 @@ class TestBatchedWalk:
 
     def test_audits_walk_once_per_block(self, monkeypatch):
         # The bench's real norm shape: L = 4 letters at m = 6, so a block holds
-        # 2^18 // 4^6 = 64 vectors, 10 axiom trials of 6 vectors: 30 blocks.
+        # 2^16 // 4 vectors, 2730 axiom trials of 6 vectors: 300 trials walk once,
+        # and no level of the pruned walk is split.
         import absnorm.extremal as extremal_mod
 
         a = np.random.default_rng(43).standard_normal((3, 3))
@@ -852,8 +865,60 @@ class TestBatchedWalk:
         monkeypatch.setattr(extremal_mod, "_eval_levels", counting_walk)
         monkeypatch.setattr(extremal_mod, "_extend", counting_extend)
         assert verify_norm_axioms(norm, trials=300, seed=0).passed
-        assert calls["walks"] == 30
-        assert calls["extends"] <= 30 * norm.m
+        assert calls["walks"] == 1
+        assert calls["extends"] <= norm.m
+
+    @pytest.mark.parametrize("cap", [1, 3, 50])
+    def test_split_levels_match_rows(self, monkeypatch, cap):
+        # A level too large for the cap is split between whole vectors and the rest
+        # walked later: every vector's terms stay those of its own walk, pruned or
+        # not, at depth m and at depth m + 1.
+        import absnorm.extremal as extremal_mod
+
+        monkeypatch.setattr(extremal_mod, "_BLOCK_ROWS", cap)
+        for norm, xs in batch_cases():
+            walks = [(norm, xs)]
+            if len(norm._factors) ** (norm.m + 1) <= 4096:
+                walks.append((unpruned(norm), xs[:-1]))  # not the zero row: 0 * inf
+            for nm, xs in walks:
+                for depth in (nm.m, nm.m + 1):
+                    levels = extremal_mod._eval_levels(nm, xs, depth)
+                    assert np.array_equal(levels, [per_vector_levels(nm, x, depth) for x in xs])
+
+    @pytest.mark.parametrize("cap", [7, 32, 100])
+    def test_rows_held_within_twice_the_cap(self, monkeypatch, cap):
+        # Unpruned, a vector's level j has L^j rows.  On stacks of at most cap
+        # vectors, at every extension the rows built plus every remainder set aside
+        # stay within 2 cap, or within cap plus one vector's level where that alone
+        # exceeds the cap.
+        import sys
+
+        import absnorm.extremal as extremal_mod
+
+        extend, seen = extremal_mod._extend, []
+
+        def counting(batch, factors, threads=1):
+            walk = sys._getframe(1).f_locals  # the _eval_levels call
+            held = sum(len(rest[0]) for rest in walk["aside"])
+            seen.append((len(batch) * len(factors), held, len(factors) ** walk["j"]))
+            return extend(batch, factors, threads)
+
+        monkeypatch.setattr(extremal_mod, "_extend", counting)
+        monkeypatch.setattr(extremal_mod, "_BLOCK_ROWS", cap)
+        rng = np.random.default_rng(44)
+        a = rng.standard_normal((3, 3))
+        for norm in (
+            unpruned(build_norm(HADAMARD, c=1.5, m=5)),
+            unpruned(build_norm(a, c=1.05 * certified_upper(a, 2), m=3)),
+        ):
+            extremal_mod._eval_levels(norm, rng.standard_normal((cap, norm.n)), norm.m + 1)
+            verify_norm_axioms(norm, trials=10, seed=0)
+            contraction_check(norm, trials=10, seed=0)
+            complexify_gap_search(norm.matrix.arr, norm, trials=10, seed=0)
+        assert any(held for _, held, _ in seen)
+        for built, held, one in seen:
+            assert held <= cap
+            assert built + held <= (2 * cap if one <= cap else cap + one)
 
     @pytest.mark.parametrize("cap", [8, 64])
     def test_no_extend_over_the_cap_unpruned(self, monkeypatch, cap):

@@ -406,6 +406,17 @@ class TestOptimalWeightedL1:
             rho = nonneg_spectral_radius(b, tol=min(eps / 10.0, 1e-8)).rho
             assert induced_norm(b, norm) <= rho * (1 + 1e-12)
 
+    def test_margin_limited_by_float_range(self):
+        # On a chain, (B^T w)_j / w_j <= rho + eps needs w_j >= w_{j-1} / (rho + eps)
+        # along every edge, so the 49 edges of this shift need weights spanning
+        # about eps^-49: 1e294 fits in float64 at eps = 1e-6, 1e392 at 1e-8 does not.
+        b = np.eye(50, k=1)
+        b[49, 49] = 1e-12
+        norm = optimal_weighted_l1(b, eps=1e-6)
+        assert induced_norm(b, norm) <= nonneg_spectral_radius(b).rho + 1e-6
+        with pytest.raises(NonConvergenceError):
+            optimal_weighted_l1(b, eps=1e-8)
+
     def test_zero_matrix(self):
         norm = optimal_weighted_l1(np.zeros((2, 2)), eps=0.1)
         assert np.all(norm.w > 0) and norm.p == 1

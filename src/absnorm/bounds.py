@@ -721,14 +721,16 @@ def mu_bounds(
             if isinstance(found, EquivalenceWitness):
                 shortcut = "sign_equivalent"
                 combined = np.conj(found.left.phases * found.right.phases)
+                if combined[0] != 1:  # scale to lead +1, which acts alike; a lead of 1 stays as is
+                    combined *= np.conj(combined[0])
+                    combined[0] = 1.0  # exact: lead / lead
                 witness_letter = UnimodularDiagonal(combined)
         if shortcut is not None:
             perron = nonneg_spectral_radius(entrywise_abs(s), tol=min(tol, 1e-10))
-            word = DiagonalWord((witness_letter,)).canonical()
             return BoundsReport(
                 lower=perron.bracket[0] * 2.0**e,
                 upper=perron.rho * 2.0**e,
-                lower_witness=word,
+                lower_witness=DiagonalWord((witness_letter,)),
                 depth_explored=1,
                 nodes_visited=0,
                 exact=True,

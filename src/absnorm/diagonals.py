@@ -6,7 +6,9 @@ grid of q-th roots of unity.  Scaling a whole diagonal by a unit scalar
 changes neither the 2-norm nor the spectral radius of any product it
 participates in, so enumerations offer a quotient mode that fixes the
 first diagonal entry to +1 and shrinks the count by a factor of 2
-(respectively q).
+(respectively q).  The searches walk that quotient, so every word the
+package reports starts each letter with +1; serialization writes letters
+as given.
 """
 
 import math
@@ -80,12 +82,6 @@ class UnimodularDiagonal:
     @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.phases)
-
-    def negate(self) -> "UnimodularDiagonal":
-        idx = None
-        if self.indices is not None and self.q is not None and self.q % 2 == 0:
-            idx = tuple((i + self.q // 2) % self.q for i in self.indices)
-        return UnimodularDiagonal(-self.phases, q=self.q, indices=idx)
 
     def __eq__(self, other):
         if not isinstance(other, UnimodularDiagonal):
@@ -184,26 +180,6 @@ class DiagonalWord:
     def n(self) -> int | None:
         return self.letters[0].n if self.letters else None
 
-    def canonical(self) -> "DiagonalWord":
-        """Scale each letter so its first diagonal entry is exactly +1."""
-        scaled = []
-        for d in self.letters:
-            lead = d.phases[0]
-            if lead == 1:
-                scaled.append(d)
-            elif d.is_real:
-                scaled.append(d.negate())
-            elif d.indices is not None and d.q is not None:
-                i0 = d.indices[0]
-                idx = tuple((i - i0) % d.q for i in d.indices)
-                roots = np.array([_root_of_unity(k, d.q) for k in idx])
-                scaled.append(UnimodularDiagonal(roots, q=d.q, indices=idx))
-            else:
-                phases = d.phases * np.conj(lead)
-                phases[0] = 1.0  # exact: lead / lead
-                scaled.append(UnimodularDiagonal(phases))
-        return DiagonalWord(tuple(scaled))
-
 
 def word_product(a, word: DiagonalWord, terminal: bool = False) -> Matrix:
     """Left-to-right product of ``a`` interleaved with the word's letters.
@@ -232,9 +208,9 @@ def word_product(a, word: DiagonalWord, terminal: bool = False) -> Matrix:
 
 
 def word_to_json(word: DiagonalWord) -> list:
-    """Serialize a word: sign vectors for real letters, grid indices for
-    on-grid complex letters, [re, im] pairs otherwise."""
-    return [_letter_to_json(d) for d in word.canonical().letters]
+    """Serialize a word, each letter as given: sign vectors for real letters,
+    grid indices for on-grid complex letters, [re, im] pairs otherwise."""
+    return [_letter_to_json(d) for d in word.letters]
 
 
 def _letter_to_json(d: UnimodularDiagonal) -> list:

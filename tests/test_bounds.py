@@ -1782,6 +1782,36 @@ class TestReportJson:
         again = bounds_report_from_json(json.loads(json.dumps(data)))
         assert bounds_report_to_json(again) == data
 
+    def test_every_witness_letter_leads_with_one(self):
+        # The walks run over the quotient alphabet and the sign-equivalence
+        # shortcut scales its one letter, so no reported letter needs rescaling.
+        rng = np.random.default_rng(17)
+        cases = [(rng.standard_normal((n, n)), 2, 3) for n in (1, 2, 3, 4) for _ in range(3)]
+        cases += [
+            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), q, depth)
+            for q, depth in ((4, 3), (8, 2)) for n in (1, 2, 3)
+        ]
+        b = rng.random((3, 3)) + 0.1
+        d, e = np.exp(2j * np.pi * rng.random(3)), np.exp(2j * np.pi * rng.random(3))
+        shortcuts = [
+            # a_00 < 0: the combined sign letter starts with -1 before scaling.
+            (np.array([1.0, -1.0, 1.0])[:, None] * b * np.array([-1.0, 1.0, 1.0]), 2, 3),
+            (d[:, None] * b * e[None, :], 4, 2),
+            (b, 2, 3),
+        ]
+        for a, q, depth in cases + shortcuts:
+            report = mu_bounds(a, max_depth=depth, grid_q=q)
+            again = bounds_report_from_json(json.loads(json.dumps(bounds_report_to_json(report))))
+            lower, word = mu_lower_bound(a, max_depth=depth, grid_q=q)
+            for w, value in ((report.lower_witness, report.lower),
+                             (again.lower_witness, report.lower), (word, lower)):
+                assert all(letter.phases[0] == 1 for letter in w.letters)
+                rho = spectral_radius(word_product(a, w, terminal=True))
+                assert rho ** (1.0 / w.k) == pytest.approx(value, rel=1e-9)
+        assert [mu_bounds(a, max_depth=1).shortcut for a, _, _ in shortcuts] == [
+            "sign_equivalent", "sign_equivalent", "nonnegative"
+        ]
+
     def test_validates_config(self):
         with pytest.raises(ValueError):
             mu_bounds(SHARP, max_depth=0)

@@ -53,11 +53,6 @@ class TestMu:
         assert payload["lower"] == pytest.approx(1.0, abs=1e-9)
         assert payload["upper"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_text_header_states_seed(self, capsys, sharp_file):
-        code, out = run(capsys, ["mu", sharp_file, "--seed", "7"])
-        assert code == EXIT_OK
-        assert out.splitlines()[0] == "# absnorm mu  seed=7"
-
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -78,6 +73,12 @@ class TestMu:
         code = main(["mu", str(path)])
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: matrix entry at (1,1)")
+
+    def test_complex_entry_in_real_matrix_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text('{"field": "real", "n": 2, "rows": [[1, 0], [0, [1, 1e-300]]]}')
+        assert main(["mu", str(path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: real matrix has complex entry at (1,1)")
 
     def test_non_square_exits_2(self, capsys, tmp_path):
         path = tmp_path / "rect.txt"
@@ -185,7 +186,7 @@ class TestTextOutput:
     def test_mu_shortcut(self, capsys, sharp_file):
         text, _ = self.text_and_payload(capsys, ["mu", sharp_file])
         assert text == (
-            "# absnorm mu  seed=0\n"
+            "# absnorm mu\n"
             "lower           = 2.0\n"
             "upper           = 2.0\n"
             "exact           = True\n"
@@ -200,7 +201,7 @@ class TestTextOutput:
     def test_mu_generic(self, capsys, hadamard_file):
         text, p = self.text_and_payload(capsys, ["mu", hadamard_file, "--depth", "4"])
         assert text == (
-            "# absnorm mu  seed=0\n"
+            "# absnorm mu\n"
             f"lower           = {p['lower']!r}\n"
             f"upper           = {p['upper']!r}\n"
             "exact           = True\n"
@@ -213,10 +214,10 @@ class TestTextOutput:
         )
 
     def test_mu_complex_grid(self, capsys, hadamard_file):
-        argv = ["mu", hadamard_file, "--depth", "3", "--grid-q", "4", "--seed", "5"]
+        argv = ["mu", hadamard_file, "--depth", "3", "--grid-q", "4"]
         text, p = self.text_and_payload(capsys, argv)
         assert text == (
-            "# absnorm mu  seed=5\n"
+            "# absnorm mu\n"
             f"lower           = {p['lower']!r}\n"
             f"upper           = {p['upper']!r}\n"
             "exact           = False\n"
@@ -231,7 +232,7 @@ class TestTextOutput:
     def test_sign_equivalent(self, capsys, sharp_file):
         text, _ = self.text_and_payload(capsys, ["sign-equiv", sharp_file])
         assert text == (
-            "# absnorm sign-equiv  seed=0\n"
+            "# absnorm sign-equiv\n"
             "verdict = sign_equivalent\n"
             "left    = [1, -1]\n"
             "right   = [1, 1]\n"
@@ -240,7 +241,7 @@ class TestTextOutput:
     def test_not_sign_equivalent(self, capsys, hadamard_file):
         text, _ = self.text_and_payload(capsys, ["sign-equiv", hadamard_file])
         assert text == (
-            "# absnorm sign-equiv  seed=0\n"
+            "# absnorm sign-equiv\n"
             "verdict       = not_sign_equivalent\n"
             'cycle         = [["r", 0], ["c", 0], ["r", 1], ["c", 1]]\n'
             "phase_product = [-1.0, 0.0]\n"
@@ -251,7 +252,7 @@ class TestTextOutput:
         text, p = self.text_and_payload(capsys, argv)
         assert len(p["sequence"]) == 3
         assert text == (
-            "# absnorm growth  seed=0\n"
+            "# absnorm growth\n"
             "verdict   = growing\n"
             "threshold = 0.5\n"
             f"sequence  = {json.dumps(p['sequence'])}\n"
@@ -316,7 +317,7 @@ class TestSignEquiv:
 
     def test_complex_witness_rebuilds_matrix(self, capsys, tmp_path):
         # Planted A = D1 |A| D2 with off-grid phases; D2's first entry is not
-        # 1, so canonicalizing either side alone would break the identity.
+        # 1, so scaling either side alone to a lead of 1 would break the identity.
         rng = np.random.default_rng(8)
         n = 3
         b = rng.random((n, n)) + 0.1
@@ -439,11 +440,18 @@ class TestDemo:
         assert code == EXIT_FIXTURE_FAILURE
         assert "[FAIL] forced-failure" in out
 
+    def test_text_header_states_seed(self, capsys):
+        code, out = run(capsys, ["demo", "--trials", "50", "--seed", "7"])
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "# absnorm demo  seed=7"
+
 
 class TestFlags:
     @pytest.mark.parametrize(
         "command, flag",
-        [("sign-equiv", ["--depth", "3"]), ("growth", ["--tol", "1e-9"]), ("demo", ["--grid-q", "4"])],
+        [("sign-equiv", ["--depth", "3"]), ("growth", ["--tol", "1e-9"]), ("demo", ["--grid-q", "4"]),
+         # Only the demo draws random numbers.
+         ("mu", ["--seed", "1"]), ("sign-equiv", ["--seed", "1"]), ("growth", ["--seed", "1"])],
     )
     def test_unread_flag_exits_2(self, capsys, sharp_file, command, flag):
         argv = [command] + ([] if command == "demo" else [sharp_file]) + flag

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,7 @@ class TestWordProduct:
             ]
             base = spectral_norm(word_product(a, DiagonalWord(tuple(letters))))
             flip = int(rng.integers(0, 3))
-            letters[flip] = letters[flip].negate()
+            letters[flip] = UnimodularDiagonal(-letters[flip].phases)
             flipped = spectral_norm(word_product(a, DiagonalWord(tuple(letters))))
             assert flipped == pytest.approx(base, rel=1e-12, abs=1e-12)
 
@@ -218,33 +220,29 @@ class TestWordSerialization:
         again = word_from_json(data)
         assert np.allclose(again.letters[0].phases, phases, atol=1e-15)
 
-    def test_canonical_fixes_leading_entry(self):
-        word = DiagonalWord((UnimodularDiagonal(np.array([-1.0, 1.0])),))
-        canon = word.canonical()
-        assert canon.letters[0].phases[0] == 1.0
-        assert np.array_equal(canon.letters[0].phases, [1.0, -1.0])
-
-    def test_canonical_grid_letter_shifts_its_indices(self):
-        # (i, -i) on the q = 4 grid scales by -i to (1, -1): indices (1, 3) -> (0, 2).
-        d = UnimodularDiagonal(np.array([1j, -1j]), q=4, indices=(1, 3))
-        canon = DiagonalWord((d,)).canonical().letters[0]
-        assert canon.q == 4 and canon.indices == (0, 2)
-        assert canon.phases.tolist() == [1 + 0j, -1 + 0j]
-        assert word_to_json(DiagonalWord((d,))) == [[0, 2]]
-
-    def test_canonical_complex_lead_exactly_one(self):
-        phases = np.exp(2j * np.pi * np.array([0.31, 0.77]))
-        canon = DiagonalWord((UnimodularDiagonal(phases),)).canonical()
-        assert canon.letters[0].phases[0] == 1.0 + 0.0j
+    def test_round_trip_keeps_letters_as_given(self):
+        # Leads other than +1 survive: word_to_json writes each letter as given.
+        rng = np.random.default_rng(6)
+        free = [UnimodularDiagonal(np.exp(2j * np.pi * rng.random(3))) for _ in range(3)]
+        free.append(UnimodularDiagonal(np.array([complex(-1.0, -0.0), 1j, -1j])))
+        for letters, grid_q in [
+            (enumerate_sign_diagonals(3), None),
+            (enumerate_phase_diagonals(2, 4), 4),
+            (enumerate_phase_diagonals(2, 8), 8),
+            (free, None),
+        ]:
+            assert any(d.phases[0] != 1 for d in letters)
+            word = DiagonalWord(tuple(letters))
+            again = word_from_json(json.loads(json.dumps(word_to_json(word))), grid_q)
+            assert again.k == word.k
+            for got, d in zip(again.letters, word.letters):
+                assert got.phases.dtype == d.phases.dtype
+                assert got.phases.tobytes() == d.phases.tobytes()
+                if d.indices is not None:
+                    assert got.indices == d.indices
 
 
 class TestDiagonalHelpers:
-    def test_negate_roundtrip(self):
-        d = enumerate_sign_diagonals(3, quotient=True)[2]
-        again = d.negate().negate()
-        assert np.array_equal(again.phases, d.phases)
-        assert again.indices == d.indices
-
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             UnimodularDiagonal(np.array([1.0, 0.5]))

@@ -214,8 +214,9 @@ class TestMatrixJson:
         ("complex", 1, [[[None, 0]]], r"\(0,0\)"),
         ("real", 1, [["one"]], r"\(0,0\)"),
         ("real", 1, [[10**400]], r"\(0,0\)"),
+        ("real", 2, [[1, 0], [0, [1, 1e-300]]], r"complex entry at \(1,1\)"),
     ], ids=["rows_not_list", "row_not_list", "null", "object", "complex_object",
-            "complex_null", "word", "huge_int"])
+            "complex_null", "word", "huge_int", "complex_in_real"])
     def test_rejects_malformed_entries_by_position(self, field, n, rows, where):
         with pytest.raises(ValueError, match=where) as info:
             matrix_from_json({"field": field, "n": n, "rows": rows})
@@ -224,5 +225,7 @@ class TestMatrixJson:
     def test_numbers_strings_and_bools_still_parse(self):
         m = matrix_from_json({"field": "real", "n": 2, "rows": [[1, "2.5"], [True, -0.5]]})
         assert m.arr.tolist() == [[1.0, 2.5], [1.0, -0.5]]
+        pair = matrix_from_json({"field": "real", "n": 1, "rows": [[[2.5, 0]]]})
+        assert pair.arr.dtype == np.float64 and pair.arr.tolist() == [[2.5]]
         z = matrix_from_json({"field": "complex", "n": 1, "rows": [[["1", False]]]})
         assert z.arr.tolist() == [[1 + 0j]]

@@ -436,3 +436,25 @@ class TestErrors:
     def test_nonconvergence_carries_bracket(self):
         err = NonConvergenceError("x", iterations=7, bracket=(1.0, 2.0))
         assert err.iterations == 7 and err.bracket == (1.0, 2.0)
+
+    @pytest.mark.parametrize("noda, bisection", [(0, 0), (2, 3)])
+    def test_raises_when_the_steps_run_out(self, monkeypatch, tmp_path, capsys, noda, bisection):
+        # A positive B has no source or sink to peel, and its one power step
+        # (n // 3) leaves the bracket open, as do these few Noda and bisection steps.
+        import absnorm.perron as perron
+        from absnorm.cli import EXIT_COMPUTE_ERROR, main
+
+        monkeypatch.setattr(perron, "_NODA_CAP", noda)
+        monkeypatch.setattr(perron, "_BISECTION_CAP", bisection)
+        b = np.random.default_rng(0).random((5, 5)) + 0.1
+        with pytest.raises(NonConvergenceError) as info:
+            nonneg_spectral_radius(b)
+        lo, hi = info.value.bracket
+        assert lo <= float(np.abs(np.linalg.eigvals(b)).max()) <= hi
+        assert info.value.iterations == noda + bisection
+        path = tmp_path / "b.txt"
+        np.savetxt(path, b)
+        assert main(["mu", str(path)]) == EXIT_COMPUTE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -204,10 +204,12 @@ def _ordered_map(fn, blocks, threads):
 
 
 def _chunked(batch, fn, threads):
-    """``fn`` applied to row-chunks of a stacked matrix batch, concatenated in order."""
-    blocks = [batch[i : i + _CHUNK] for i in range(0, len(batch), _CHUNK)] or [batch]
-    out = _ordered_map(fn, blocks, threads)
-    return out[0] if len(out) == 1 else np.concatenate(out)
+    """``fn`` applied to row-chunks of a stacked matrix batch, concatenated in order;
+    a batch of at most one chunk goes to ``fn`` as it is."""
+    if len(batch) <= _CHUNK:
+        return fn(batch)
+    blocks = [batch[i : i + _CHUNK] for i in range(0, len(batch), _CHUNK)]
+    return np.concatenate(_ordered_map(fn, blocks, threads))
 
 
 def _batch_norms(batch, threads=1):
@@ -252,6 +254,7 @@ class _LevelNorms:
         self.interior, self.depth, self.threads = interior, depth, threads
         self.ratio, self.plain_hi = ratio, plain_hi
         self.hi, self.exact = _level_hi(interior, ratio), np.full(len(interior), np.nan)
+        self._top = self._root = None
 
     def products(self, idx):
         """The interiors ``idx`` in the level's norm."""
@@ -266,16 +269,23 @@ class _LevelNorms:
     def where(self, bound):
         """Mask of the interiors with ||P||^(1/depth) >= bound."""
         mask = self.hi ** (1.0 / self.depth) >= bound
-        mask[mask] = self.norms(np.flatnonzero(mask)) ** (1.0 / self.depth) >= bound
+        mask[mask] = self.norms(mask.nonzero()[0]) ** (1.0 / self.depth) >= bound
         return mask
 
     def top(self):
-        """SVD norms of every interior that can hold the level's largest norm."""
-        return self.norms(np.flatnonzero(self.hi >= self.norms(np.argmax(self.hi, keepdims=True))))
+        """SVD norms of every interior that can hold the level's largest norm
+        (read-only, found once)."""
+        if self._top is None:
+            first = self.norms(self.hi.argmax(keepdims=True))
+            self._top = self.norms((self.hi >= first).nonzero()[0])
+            self._top.setflags(write=False)
+        return self._top
 
     def root(self):
         """M_k^(1/k) by numpy's array power, the one rounding of every min over k."""
-        return float((self.top() ** (1.0 / self.depth)).max())
+        if self._root is None:
+            self._root = float((self.top() ** (1.0 / self.depth)).max())
+        return self._root
 
 
 def _batch_radii(batch, threads=1):
@@ -293,23 +303,35 @@ def _extend(batch, factors, threads=1):
     return _chunked(batch, block, threads)
 
 
+def _first_tie(values):
+    """Index and value of the first entry within relative tie slack of the
+    maximum of values >= 0: the first NaN if any, else the first occurrence
+    of an infinite maximum."""
+    nans = np.isnan(values).nonzero()[0]
+    if nans.size:
+        return int(nans[0]), math.nan
+    vmax = float(values.max())
+    if not math.isfinite(vmax):
+        return int(values.argmax()), vmax
+    first = int((values >= vmax - _TIE_REL * max(1.0, abs(vmax))).argmax())
+    return first, float(values[first])
+
+
 def _leaders(values):
     """One block of values reduced for ``_first_within_tie``: the indices and
     values of its strict left-to-right maxima (NaN never leads), the index
     of its first NaN (empty if none) and its length."""
     before = np.fmax.accumulate(np.concatenate(([-np.inf], values[:-1])))
-    lead = np.flatnonzero(values > before)
-    return lead, values[lead], np.flatnonzero(np.isnan(values))[:1], len(values)
+    lead = (values > before).nonzero()[0]
+    return lead, values[lead], np.isnan(values).nonzero()[0][:1], len(values)
 
 
 def _first_within_tie(blocks):
-    """Index and value of the first entry within relative tie slack of the
-    maximum of consecutive blocks of values >= 0, each given by ``_leaders``.
+    """``_first_tie`` of consecutive blocks of values >= 0, each given by ``_leaders``.
 
     Every entry before the first one at or above the threshold is below
     it, so that entry leads its own block and no earlier leader reaches
-    the threshold.  A NaN anywhere gives the first NaN, else an infinite
-    maximum its first occurrence.
+    the threshold; an infinite maximum's first occurrence leads too.
     """
     index, value, nans, start = [], [], [], 0
     for lead, lead_value, nan, size in blocks:
@@ -320,13 +342,8 @@ def _first_within_tie(blocks):
     nans = np.concatenate(nans)
     if nans.size:
         return int(nans[0]), math.nan
-    index, value = np.concatenate(index), np.concatenate(value)
-    vmax = float(value.max())
-    if not math.isfinite(vmax):
-        return int(index[np.argmax(value)]), vmax
-    thresh = vmax - _TIE_REL * max(1.0, abs(vmax))
-    first = int(np.argmax(value >= thresh))
-    return int(index[first]), float(value[first])
+    first, found = _first_tie(np.concatenate(value))
+    return int(np.concatenate(index)[first]), found
 
 
 def _terminal(interior, phases):
@@ -371,35 +388,38 @@ def _root_bounds(level, rows, terminals):
     S E S^-1 with ||S E S^-1||_F <= kappa n^2 u ||T||_F =: e, kappa = max R_ij,
     so the square bound gains 2 e ||R∘T||_F + e^2 in place of the 2n^2 + 1 units.
     """
-    n, letters = terminals.shape[-1], len(terminals) // len(rows)
+    n = terminals.shape[-1]
     scale = np.abs(level.products(rows)).max(axis=(1, 2))
     scale = np.where(scale > 0, scale, 1.0)
-    scaled = terminals / np.repeat(scale, letters)[:, None, None]
+    # Per-interior terms broadcast over a (rows, letters) view of the terminals.
+    scaled = (terminals.reshape(len(rows), -1, n, n) / scale[:, None, None, None]).reshape(-1, n, n)
     square = (scaled @ scaled).view(np.float64)  # a complex square as its real pairs
     units = n + (4 if np.iscomplexobj(terminals) else 2)
     units += 2 * n * n + 1 if level.ratio is None else 4
     gamma = units * 2.0**-53 / (1 - units * 2.0**-53)
-    bound = np.sqrt(np.square(square, out=square).sum(axis=(1, 2)))
-    bound += gamma * np.repeat(np.square(level.hi[rows] / scale), letters)
+    bound = np.sqrt(np.square(square, out=square).sum(axis=(1, 2))).reshape(len(rows), -1)
+    hi = level.hi[rows] / scale
+    bound += (gamma * np.square(hi))[:, None]
     if level.ratio is not None:
         err = n * n * 2.0**-53 * level.ratio.max() * (level.plain_hi[rows] / scale)
-        bound += np.repeat(err * (2 * (level.hi[rows] / scale) + err), letters)
+        bound += (err * (2 * hi + err))[:, None]
     root = 1.0 / level.depth
-    return np.repeat(scale**root, letters) * (bound * (1 + 1e-12)) ** (root / 2)
+    return ((scale**root)[:, None] * (bound * (1 + 1e-12)) ** (root / 2)).ravel()
 
 
 def _gated_radii(level, cand, phases, bar, threads):
-    """``_leaders`` of rho^(1/depth) over the terminals ``P·D`` of the interiors
-    ``cand`` (``_terminal`` order), one per block, with rho = 0 where
-    ``_root_bounds`` certifies rho^(1/depth) < bar (bar = -inf keeps all).
+    """``_first_tie`` of rho^(1/depth) over the terminals ``P·D`` of the interiors
+    ``cand`` (``_terminal`` order), with rho = 0 where ``_root_bounds``
+    certifies rho^(1/depth) < bar (bar = -inf keeps all).
     On a balanced level the bound is taken on R∘(P·D); the eigensolves
     are always of the plain P·D, so every rho is the unscaled walk's.
 
     Terminals are built, bounded and eigensolved in blocks of about ``_BLOCK``
-    rows.  The blocks run over ``threads`` when the level has more than
-    ``_CHUNK`` terminals: each worker thread keeps a malloc arena of about a
-    block's temporaries, which costs more resident memory than threads save
-    on a level of a few blocks.
+    rows, each reduced to its ``_leaders`` where there is more than one.  The
+    blocks run over ``threads`` when the level has more than ``_CHUNK``
+    terminals: each worker thread keeps a malloc arena of about a block's
+    temporaries, which costs more resident memory than threads save on a
+    level of a few blocks.
     """
     per = max(1, _BLOCK // len(phases))
 
@@ -409,11 +429,13 @@ def _gated_radii(level, cand, phases, bar, threads):
         keep = _root_bounds(level, rows, bounded) >= bar
         radii = np.zeros(len(terminals))
         radii[keep] = _batch_radii(terminals[keep])
-        return _leaders(radii ** (1.0 / level.depth))
+        return radii ** (1.0 / level.depth)
 
+    if len(cand) <= per:
+        return _first_tie(solve(cand))
     blocks = [cand[i : i + per] for i in range(0, len(cand), per)]
     threads = threads if len(cand) * len(phases) > _CHUNK else 1
-    return _ordered_map(solve, blocks, threads)
+    return _first_within_tie(_ordered_map(lambda rows: _leaders(solve(rows)), blocks, threads))
 
 
 def _improves(candidate, best):
@@ -517,9 +539,7 @@ def _bound_levels(ups, top, depth, max_depth):
 def _floors(floor, depth, max_depth):
     """floor(depth + r) for r = 1 .. max_depth - depth; a zero or subnormal floor
     reads 0, which prunes nothing."""
-    lows = np.array([floor(j) for j in range(depth + 1, max_depth + 1)])
-    lows[lows < _TINY] = 0.0
-    return lows
+    return np.array([0.0 if f < _TINY else f for f in map(floor, range(depth + 1, max_depth + 1))])
 
 
 def _reaches(hi, ups, lows):
@@ -582,7 +602,7 @@ def _levels(arr, da, max_depth, threads, floor=None, ratio=None):
         if beam is not None:
             upper = _reaches(level.hi, ups, np.maximum(lows, _floors(beam, depth, max_depth)))
             keep = upper if floor is None else (keep & _reaches(balanced.hi, powers, lows)) | upper
-        rows = np.flatnonzero(keep)
+        rows = keep.nonzero()[0]
         interior = interior[rows]
 
 
@@ -601,6 +621,17 @@ def _beam_floor(interior, da, max_depth, threads, depth):
     return lambda j: float(lows[j - depth])
 
 
+def _word_index(chain, row, size):
+    """Full-tree index of the interior ``row`` of the last level of a walk of
+    ``size`` letters, from the ``rows`` that ``_levels`` yields at each depth > 1."""
+    index, weight = 0, 1
+    for rows in reversed(chain):
+        index += row % size * weight
+        weight *= size
+        row = int(rows[row // size])
+    return index
+
+
 def _walk(m, max_depth, grid_q, threads, perron=None):
     """``(lower, witness, upper, nodes, q)`` of one walk, q from ``_search_setup``;
     see the module docstring.
@@ -614,24 +645,24 @@ def _walk(m, max_depth, grid_q, threads, perron=None):
     q, exponents, phases, arr, da = _search_setup(m, grid_q, max_depth)
     size = len(phases)
     best, bar, best_flat, best_depth = -np.inf, -np.inf, 0, 1
-    upper, nodes, words = np.inf, 0, np.zeros(1, dtype=np.int64)
+    upper, nodes, chain = np.inf, 0, []
 
     ratio = _balance(m, perron)
     walk = _levels(arr, da, max_depth, threads, lambda j: max(bar, 0.0) ** j, ratio)
     for depth, level, balanced, _, rows in walk:
-        if depth > 1:  # the full-tree indices of the level's interiors
-            words = (words[rows][:, None] * size + np.arange(size)).ravel()
+        if depth > 1:  # each level's parents, read back only for a new witness
+            chain.append(rows)
         # Lower: rho(P D) <= ||R∘P||, so only the prefixes whose balanced norm
         # reaches the best value within twice the tie slack are extended by a
         # letter, and only the terminals whose square bound reaches it are
         # eigensolved.  A word below that bar cannot tie with an improvement.
         nodes += size**depth
-        cand = np.flatnonzero(balanced.where(bar))
+        cand = balanced.where(bar).nonzero()[0]
         if cand.size:
-            first, value = _first_within_tie(_gated_radii(balanced, cand, phases, bar, threads))
+            first, value = _gated_radii(balanced, cand, phases, bar, threads)
             if _improves(value, best):
                 best, best_depth = value, depth
-                best_flat = int(words[cand[first // size]]) * size + first % size
+                best_flat = _word_index(chain, int(cand[first // size]), size) * size + first % size
                 bar = best - 2 * _TIE_REL * max(1.0, abs(best))
         # Upper: M_k^(1/k) >= mu(A) at every depth k.
         upper = min(upper, level.root())

@@ -62,7 +62,8 @@ class UnimodularDiagonal:
         phases = np.asarray(self.phases)
         if phases.ndim != 1 or phases.size < 1:
             raise DimensionError("phases must be a nonempty vector")
-        if not np.allclose(np.abs(phases), 1.0, rtol=0, atol=1e-12):
+        # |(|d_i| - 1)| <= 1e-12 for all i in one reduction; a NaN maximum fails it.
+        if not np.abs(np.abs(phases) - 1.0).max() <= 1e-12:
             raise ValueError("diagonal entries must have modulus 1")
         if not np.iscomplexobj(phases):
             if not np.all(np.abs(phases) == 1.0):
@@ -73,7 +74,8 @@ class UnimodularDiagonal:
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
         if self.indices is not None:
-            object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+            indices = np.asarray(self.indices, dtype=np.int64).tolist()
+            object.__setattr__(self, "indices", tuple(indices))
 
     @property
     def n(self) -> int:

@@ -149,21 +149,21 @@ def sign_equivalent_to_abs(a, tol: float = 1e-9):
             # The level's edges (u, v), u on the frontier, in the order a
             # queue meets them: by u's frontier position, then v's index.
             if frontier[0] < n:
-                k, j = np.nonzero(support[frontier])
+                k, j = support[frontier].nonzero()
                 u = frontier[k]
                 v, phi = j + n, phases[u, j]
             else:
-                k, i = np.nonzero(support[:, frontier - n].T)
+                k, i = support[:, frontier - n].T.nonzero()
                 u = frontier[k]
                 v, phi = i, phases[i, u - n]
             # d_i * e_j = phi: knowing one endpoint fixes the other.
             required = _times_conj(phi, scalar[u])
             # The first edge into each unvisited vertex is its tree edge; the
             # new level keeps the order of those edges.
-            fresh = np.flatnonzero(~visited[v])
+            fresh = (~visited[v]).nonzero()[0]
             first_edge[v] = len(v)
             np.minimum.at(first_edge, v[fresh], fresh)
-            tree = np.flatnonzero(first_edge[v] == np.arange(len(v)))
+            tree = (first_edge[v] == np.arange(len(v))).nonzero()[0]
             frontier = v[tree]
             scalar[frontier] = required[tree]
             visited[frontier] = True

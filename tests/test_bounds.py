@@ -924,6 +924,59 @@ class TestWalk:
                 report = mu_bounds(a, depth, grid_q=q, threads=threads, use_shortcut=False)
                 assert bounds_report_to_json(report) == baseline, (block, threads)
 
+    def test_one_chunk_runs_directly(self, monkeypatch):
+        # A batch of at most _CHUNK rows, and a candidate set of one block, go
+        # to their kernel as they are; only larger ones are split and mapped.
+        import absnorm.bounds as bounds_mod
+
+        mapped, ordered_map = [], bounds_mod._ordered_map
+
+        def spying(fn, blocks, threads):
+            mapped.append(len(blocks))
+            return ordered_map(fn, blocks, threads)
+
+        monkeypatch.setattr(bounds_mod, "_ordered_map", spying)
+        batch = np.random.default_rng(49).standard_normal((bounds_mod._CHUNK + 1, 2, 2))
+        for rows in (0, 1, bounds_mod._CHUNK):
+            part = batch[:rows]
+            assert bounds_mod._chunked(part, lambda b: b, 2) is part
+        assert mapped == []
+        assert np.array_equal(bounds_mod._chunked(batch, np.copy, 2), batch)
+        assert mapped == [2]
+        mapped.clear()
+        a = _walk_case("random")
+        report = mu_bounds(a, 5, threads=2, use_shortcut=False)
+        check_growth_condition(a, GrowthQuery(eps=0.1, m=5), threads=2)
+        assert mapped == []
+        monkeypatch.setattr(bounds_mod, "_CHUNK", 7)
+        split = mu_bounds(a, 5, threads=2, use_shortcut=False)
+        assert mapped and bounds_report_to_json(split) == bounds_report_to_json(report)
+
+    @pytest.mark.parametrize("job", ["c3d4q4", "hadamard@1e-200", "hadamard@1e+100"])
+    def test_forced_splits_match_on_bench_inputs(self, monkeypatch, job):
+        # The bench's complex grid job and its Hadamard scale probes, split
+        # into chunks of 7 rows and blocks of 16 terminals, at 1 and 2 threads.
+        import absnorm.bounds as bounds_mod
+
+        if job == "c3d4q4":
+            _, a, grid_q, depth = next(j for j in _bench_search_inputs() if j[0] == "search.c3d4q4")
+        else:
+            a, grid_q, depth = float(job.split("@")[1]) * HADAMARD, 2, 4
+
+        def results(threads):
+            report = mu_bounds(a, depth, grid_q=grid_q, prune_delta=1e-3, threads=threads)
+            eps = 0.1 * float(np.abs(a).max())
+            growth = check_growth_condition(a, GrowthQuery(eps=eps, m=depth), grid_q=grid_q,
+                                            threads=threads)
+            return bounds_report_to_json(report), growth
+
+        baseline = results(1)
+        for threads in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds_mod, "_BLOCK", 16)
+                patch.setattr(bounds_mod, "_CHUNK", 7)
+                assert results(threads) == baseline, threads
+
     def test_terminal_memory_is_bounded(self):
         # Every word ties on a triangular A, so the norm gate passes every
         # interior: 4096 of them with 64 letters at depth 3.  Built at once
@@ -1374,10 +1427,11 @@ class TestStreamedTie:
         for rng, values in self._arrays():
             cuts = np.sort(rng.integers(0, len(values) + 1, int(rng.integers(0, 6))))
             blocks = [bounds_mod._leaders(b) for b in np.split(values, cuts)]
-            got = bounds_mod._first_within_tie(blocks)
             want = _whole_array_tie(values)
-            assert got[0] == want[0]
-            assert got[1] == want[1] or (np.isnan(got[1]) and np.isnan(want[1]))
+            # Split into blocks, and whole as one block is read.
+            for got in (bounds_mod._first_within_tie(blocks), bounds_mod._first_tie(values)):
+                assert got[0] == want[0]
+                assert got[1] == want[1] or (np.isnan(got[1]) and np.isnan(want[1]))
 
     def test_all_tie_keeps_one_leader(self):
         import absnorm.bounds as bounds_mod
@@ -1486,6 +1540,54 @@ class TestSquareBound:
         assert np.all(bound >= np.abs(lam))
         assert np.all(bound >= np.abs(np.linalg.eigvals(jordan)).max(axis=-1))
 
+    @staticmethod
+    def _repeat_formula(level, rows, terminals):
+        """The square bound with every per-interior term repeated once per
+        letter by ``np.repeat``: the oracle of the broadcast form."""
+        n, letters = terminals.shape[-1], len(terminals) // len(rows)
+        scale = np.abs(level.products(rows)).max(axis=(1, 2))
+        scale = np.where(scale > 0, scale, 1.0)
+        scaled = terminals / np.repeat(scale, letters)[:, None, None]
+        square = (scaled @ scaled).view(np.float64)
+        units = n + (4 if np.iscomplexobj(terminals) else 2)
+        units += 2 * n * n + 1 if level.ratio is None else 4
+        gamma = units * 2.0**-53 / (1 - units * 2.0**-53)
+        bound = np.sqrt(np.square(square, out=square).sum(axis=(1, 2)))
+        bound += gamma * np.repeat(np.square(level.hi[rows] / scale), letters)
+        if level.ratio is not None:
+            err = n * n * 2.0**-53 * level.ratio.max() * (level.plain_hi[rows] / scale)
+            bound += np.repeat(err * (2 * (level.hi[rows] / scale) + err), letters)
+        root = 1.0 / level.depth
+        return np.repeat(scale**root, letters) * (bound * (1 + 1e-12)) ** (root / 2)
+
+    @pytest.mark.parametrize("n, grid_q", [(2, None), (3, None), (4, None), (5, None), (2, 4), (3, 4)])
+    def test_matches_repeat_formula_bit_for_bit(self, n, grid_q):
+        # 2, 4, 8 and 16 sign letters, 4 and 16 letters of the q = 4 grid;
+        # one interior and many, plain and balanced, as ``_gated_radii`` calls it.
+        import absnorm.bounds as bounds_mod
+        from absnorm.diagonals import _alphabet
+
+        rng = np.random.default_rng(47 + n)
+        interior = rng.standard_normal((40, n, n))
+        if grid_q:
+            interior = interior + 1j * rng.standard_normal((40, n, n))
+        interior[3] = 0.0  # a zero interior divides by 1
+        phases = _alphabet(n, grid_q, True)[1]
+        s = 10.0 ** np.linspace(-1, 1, n)
+        ratio = s[:, None] / s[None, :]
+        checked = set()
+        for rows in (np.array([5]), np.array([3]), np.arange(40), rng.permutation(40)[:17]):
+            terminals = bounds_mod._terminal(interior[rows], phases)
+            for depth in (1, 2, 3):
+                plain = bounds_mod._LevelNorms(interior, depth, 1)
+                balanced = bounds_mod._LevelNorms(interior, depth, 1, ratio, plain.hi)
+                for level, bounded in ((plain, terminals), (balanced, ratio * terminals)):
+                    got = bounds_mod._root_bounds(level, rows, bounded)
+                    want = self._repeat_formula(level, rows, bounded)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    checked.add((len(rows) > 1, level.ratio is None))
+        assert len(phases) in (2, 4, 8, 16) and len(checked) == 4
+
 
 class TestNormBrackets:
     """The cheap bound on each interior's 2-norm and the SVD-on-demand level."""
@@ -1520,6 +1622,38 @@ class TestNormBrackets:
             assert (level.top() ** (1.0 / depth)).max() == roots.max()
             for t in np.quantile(roots, [0.0, 0.5, 0.9, 0.99, 1.0]):
                 assert np.array_equal(level.where(t), roots >= t)
+
+    @pytest.mark.parametrize("kind", ["random", "repeated", "complex", "one"])
+    def test_maxima_are_found_once(self, monkeypatch, kind):
+        # top() and root() run their SVDs on the first call only; the norms
+        # top() returns are read-only, so no caller can change a later read.
+        import absnorm.bounds as bounds_mod
+
+        rng = np.random.default_rng(48)
+        batch = {
+            "random": rng.standard_normal((300, 4, 4)),
+            "repeated": np.repeat(rng.standard_normal((10, 3, 3)), 30, axis=0),
+            "complex": _bracket_batches()["complex"],
+            "one": rng.standard_normal((1, 3, 3)),
+        }[kind]
+        calls, norms = [], bounds_mod._norms
+        monkeypatch.setattr(bounds_mod, "_norms", lambda b: calls.append(len(b)) or norms(b))
+        n = batch.shape[-1]
+        s = 2.0 ** np.arange(n)
+        plain = bounds_mod._LevelNorms(batch, 3, 1)
+        for level in (plain, bounds_mod._LevelNorms(batch, 3, 1, s[:, None] / s[None, :], plain.hi)):
+            calls.clear()
+            top = level.top()
+            assert 0 < len(calls) <= 2
+            taken = len(calls)
+            root = level.root()
+            assert level.top() is top and level.root() == root
+            assert len(calls) == taken
+            assert root == float((top ** (1.0 / 3)).max())
+            assert top.max() == bounds_mod._batch_norms(level.products(np.arange(len(batch)))).max()
+            assert not top.flags.writeable
+            with pytest.raises(ValueError):
+                top[0] = 0.0
 
     @staticmethod
     def _count_svd(monkeypatch):

@@ -246,3 +246,65 @@ class TestDiagonalHelpers:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             UnimodularDiagonal(np.array([1.0, 0.5]))
+
+    @staticmethod
+    def _accepted(phases):
+        """The checks as np.allclose wrote them: modulus within 1e-12, real entries exactly +-1."""
+        phases = np.asarray(phases)
+        if not np.allclose(np.abs(phases), 1.0, rtol=0, atol=1e-12):
+            return False
+        return bool(np.iscomplexobj(phases) or np.all(np.abs(phases) == 1.0))
+
+    def test_modulus_check_matches_allclose(self):
+        # The one-reduction check accepts and rejects what np.allclose did:
+        # non-finite phases, moduli on both sides of 1e-12, inexact real signs.
+        rng = np.random.default_rng(8)
+        turn = np.exp(2j * np.pi * rng.random(3))
+        cases = [
+            np.array([1.0, np.nan]), np.array([np.inf, 1.0]), np.array([-np.inf]),
+            np.array([1.0, complex(np.nan, 0.0)]), np.array([1j, complex(0.0, np.inf)]),
+            np.array([1.0, 1.0 + 2e-12]), np.array([1.0 - 2e-12, -1.0]),
+            np.array([1.0, -1.0 - 5e-13]), turn * (1 + 2e-12), turn * (1 - 5e-13),
+            np.array([1.0 + 5e-13 + 0j, 1j]), np.array([1.0, -1.0]), np.array([True, True]),
+            np.array([1, -1]), np.array([1.0, 0.5]), np.array([0.0]),
+        ]
+        for off in (-3e-12, -1.1e-12, -1e-12, -9e-13, 0.0, 9e-13, 1e-12, 1.1e-12, 3e-12):
+            cases += [np.array([1.0, -(1.0 + off)]), turn * (1 + off), np.array([1j * (1 + off)])]
+        verdicts = set()
+        for phases in cases:
+            want = self._accepted(phases)
+            try:
+                UnimodularDiagonal(phases)
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, phases
+            verdicts.add(want)
+        assert verdicts == {True, False}
+        with pytest.raises(ValueError, match="modulus 1"):
+            UnimodularDiagonal(np.array([1.0 + 2e-12 + 0j, 1.0]))
+        assert UnimodularDiagonal(np.array([1.0 + 5e-13 + 0j, 1.0])).n == 2
+        with pytest.raises(ValueError, match="exactly"):
+            UnimodularDiagonal(np.array([1.0, 1.0 + 5e-13]))
+
+    def test_indices_are_python_ints(self):
+        # bool, int, numpy int64 and float indices all become the tuple of
+        # Python ints that int() of each entry gives.
+        cases = ([True, False, True], np.array([False, True, True]), (0, 1, 3), np.array([2, 0, 1]),
+                 [np.int64(3), np.int64(0), 1], [0.0, 1.9, 3.0])
+        for indices in cases:
+            d = UnimodularDiagonal(np.array([1.0, 1j, -1.0]), q=4, indices=indices)
+            assert d.indices == tuple(int(i) for i in indices)
+            assert all(type(i) is int for i in d.indices)
+        assert UnimodularDiagonal(np.array([1.0]), indices=[]).indices == ()
+        assert UnimodularDiagonal(np.array([1.0])).indices is None
+
+    def test_equality_and_hash_follow_phases(self):
+        real = UnimodularDiagonal(np.array([1.0, -1.0]), q=2, indices=(0, 1))
+        same = UnimodularDiagonal(np.array([1.0 + 0j, -1.0 + 0j]))
+        assert real == same and hash(real) == hash(same)
+        assert hash(real) == hash(np.array([1.0, -1.0], dtype=np.complex128).tobytes())
+        assert real != UnimodularDiagonal(np.array([1.0, 1.0]))
+        assert UnimodularDiagonal(np.array([1.0, 1j]), q=4, indices=(0, 1)) == UnimodularDiagonal(
+            np.array([1.0, 1j])
+        )

@@ -197,16 +197,17 @@ def _check_search_args(max_depth, grid_q, prune_delta=0.0, threads=1):
 
 def _ordered_map(fn, blocks, threads):
     """``[fn(b) for b in blocks]``, over a thread pool when threads > 1."""
-    if threads > 1 and len(blocks) > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, blocks))
     return [fn(b) for b in blocks]
 
 
 def _chunked(batch, fn, threads):
-    """``fn`` applied to row-chunks of a stacked matrix batch, concatenated in order;
-    a batch of at most one chunk goes to ``fn`` as it is."""
-    if len(batch) <= _CHUNK:
+    """``fn`` of a stacked matrix batch, in one call unless ``threads`` > 1 and the batch
+    is over one chunk; then its row-chunks run over the threads, concatenated in order.
+    The kernels act on each matrix alone, so the rows are the same bits either way."""
+    if threads == 1 or len(batch) <= _CHUNK:
         return fn(batch)
     blocks = [batch[i : i + _CHUNK] for i in range(0, len(batch), _CHUNK)]
     return np.concatenate(_ordered_map(fn, blocks, threads))
@@ -304,46 +305,32 @@ def _extend(batch, factors, threads=1):
 
 
 def _first_tie(values):
-    """Index and value of the first entry within relative tie slack of the
-    maximum of values >= 0: the first NaN if any, else the first occurrence
-    of an infinite maximum."""
-    nans = np.isnan(values).nonzero()[0]
-    if nans.size:
-        return int(nans[0]), math.nan
+    """Index and value of the first entry within relative tie slack of the maximum
+    of finite values >= 0 (``_gated_radii``'s: 0 or rho^(1/depth) of a finite terminal)."""
     vmax = float(values.max())
-    if not math.isfinite(vmax):
-        return int(values.argmax()), vmax
-    first = int((values >= vmax - _TIE_REL * max(1.0, abs(vmax))).argmax())
+    first = int((values >= vmax - _TIE_REL * max(1.0, vmax)).argmax())
     return first, float(values[first])
 
 
-def _leaders(values):
-    """One block of values reduced for ``_first_within_tie``: the indices and
-    values of its strict left-to-right maxima (NaN never leads), the index
-    of its first NaN (empty if none) and its length."""
-    before = np.fmax.accumulate(np.concatenate(([-np.inf], values[:-1])))
+def _leaders(values, start):
+    """The block of values at level-wide index ``start`` reduced for
+    ``_first_within_tie``: the level-wide indices and the values of its strict
+    left-to-right maxima."""
+    before = np.maximum.accumulate(np.concatenate(([-np.inf], values[:-1])))
     lead = (values > before).nonzero()[0]
-    return lead, values[lead], np.isnan(values).nonzero()[0][:1], len(values)
+    return start + lead, values[lead]
 
 
 def _first_within_tie(blocks):
-    """``_first_tie`` of consecutive blocks of values >= 0, each given by ``_leaders``.
+    """``_first_tie`` of consecutive blocks of values, each given by ``_leaders``.
 
     Every entry before the first one at or above the threshold is below
     it, so that entry leads its own block and no earlier leader reaches
-    the threshold; an infinite maximum's first occurrence leads too.
+    the threshold.
     """
-    index, value, nans, start = [], [], [], 0
-    for lead, lead_value, nan, size in blocks:
-        index.append(start + lead)
-        value.append(lead_value)
-        nans.append(start + nan)
-        start += size
-    nans = np.concatenate(nans)
-    if nans.size:
-        return int(nans[0]), math.nan
-    first, found = _first_tie(np.concatenate(value))
-    return int(np.concatenate(index)[first]), found
+    index, value = (np.concatenate(part) for part in zip(*blocks))
+    first, found = _first_tie(value)
+    return int(index[first]), found
 
 
 def _terminal(interior, phases):
@@ -423,7 +410,8 @@ def _gated_radii(level, cand, phases, bar, threads):
     """
     per = max(1, _BLOCK // len(phases))
 
-    def solve(rows):
+    def solve(start):
+        rows = cand[start : start + per]
         terminals = _terminal(level.interior[rows], phases)
         bounded = terminals if level.ratio is None else level.ratio * terminals
         keep = _root_bounds(level, rows, bounded) >= bar
@@ -432,10 +420,11 @@ def _gated_radii(level, cand, phases, bar, threads):
         return radii ** (1.0 / level.depth)
 
     if len(cand) <= per:
-        return _first_tie(solve(cand))
-    blocks = [cand[i : i + per] for i in range(0, len(cand), per)]
+        return _first_tie(solve(0))
     threads = threads if len(cand) * len(phases) > _CHUNK else 1
-    return _first_within_tie(_ordered_map(lambda rows: _leaders(solve(rows)), blocks, threads))
+    starts = range(0, len(cand), per)
+    blocks = _ordered_map(lambda i: _leaders(solve(i), i * len(phases)), starts, threads)
+    return _first_within_tie(blocks)
 
 
 def _improves(candidate, best):
@@ -667,7 +656,7 @@ def _walk(m, max_depth, grid_q, threads, perron=None):
         # Upper: M_k^(1/k) >= mu(A) at every depth k.
         upper = min(upper, level.root())
     digits = np.unravel_index(best_flat, (size,) * best_depth)
-    letters = (UnimodularDiagonal(phases[d], q=q or 2, indices=exponents[d]) for d in digits)
+    letters = (UnimodularDiagonal(phases[d], indices=exponents[d]) for d in digits)
     return float(best), DiagonalWord(tuple(letters)), upper, nodes, q
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 demo fixture failure, 2 invalid input,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -270,7 +271,10 @@ _SUBCOMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared, so no caller may change it;
+    its handlers read the module's globals when they run."""
     parser = argparse.ArgumentParser(
         prog="absnorm",
         description="Certified bounds on the minimal induced absolute norm of a matrix.",

@@ -49,13 +49,14 @@ class UnimodularDiagonal:
     """Diagonal matrix whose entries all have modulus one.
 
     ``phases`` is a float vector of +-1 entries for sign diagonals and a
-    complex vector of unit entries otherwise.  Grid members additionally
-    carry their grid order ``q`` and integer phase ``indices`` (used for
-    serialization); free-phase diagonals have ``q is None``.
+    complex vector of unit entries otherwise.  Letters of an alphabet (the
+    searches' witnesses, the enumerations and the grid entries of
+    ``word_from_json``) also carry their integer grid exponents ``indices``,
+    from which a complex grid letter is serialized; other diagonals have
+    ``indices is None``.
     """
 
     phases: np.ndarray
-    q: int | None = None
     indices: tuple | None = None
 
     def __post_init__(self):
@@ -94,13 +95,8 @@ class UnimodularDiagonal:
         return hash(np.asarray(self.phases, dtype=np.complex128).tobytes())
 
 
-def _sign_letter(signs) -> UnimodularDiagonal:
-    """The sign diagonal of a +-1 vector, with its q=2 grid indices."""
-    return UnimodularDiagonal(signs, q=2, indices=(np.asarray(signs) != 1).tolist())
-
-
 def identity_diagonal(n: int) -> UnimodularDiagonal:
-    return _sign_letter(np.ones(n))
+    return UnimodularDiagonal(np.ones(n))
 
 
 def _is_count(value, least):
@@ -146,7 +142,7 @@ def enumerate_sign_diagonals(n: int, quotient: bool = False) -> list[UnimodularD
     identically inside norm and spectral-radius computations.
     """
     exponents, phases = _alphabet(n, None, quotient)
-    return [UnimodularDiagonal(p, q=2, indices=e) for e, p in zip(exponents, phases)]
+    return [UnimodularDiagonal(p, indices=e) for e, p in zip(exponents, phases)]
 
 
 def enumerate_phase_diagonals(n: int, q: int, quotient: bool = False) -> list[UnimodularDiagonal]:
@@ -157,7 +153,7 @@ def enumerate_phase_diagonals(n: int, q: int, quotient: bool = False) -> list[Un
     """
     _check_grid_q(q)  # q=None would give sign letters
     exponents, phases = _alphabet(n, q, quotient)
-    return [UnimodularDiagonal(p, q=q, indices=e) for e, p in zip(exponents, phases)]
+    return [UnimodularDiagonal(p, indices=e) for e, p in zip(exponents, phases)]
 
 
 @dataclass(frozen=True)
@@ -236,7 +232,7 @@ def word_from_json(data, grid_q: int | None = None) -> DiagonalWord:
             letters.append(UnimodularDiagonal(phases))
         elif grid_q is not None:
             roots = np.array([_root_of_unity(k, grid_q) for k in entry])
-            letters.append(UnimodularDiagonal(roots, q=grid_q, indices=tuple(entry)))
+            letters.append(UnimodularDiagonal(roots, indices=tuple(entry)))
         else:
-            letters.append(_sign_letter(np.array([float(v) for v in entry])))
+            letters.append(UnimodularDiagonal(np.array([float(v) for v in entry])))
     return DiagonalWord(tuple(letters))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonals import UnimodularDiagonal, _sign_letter
+from .diagonals import UnimodularDiagonal
 from .matrices import REAL, as_matrix
 
 __all__ = [
@@ -180,8 +180,6 @@ def sign_equivalent_to_abs(a, tol: float = 1e-9):
                 at = int(bad.argmax())
                 return conflict_cycle(int(u[at]), int(v[at]))
 
-    d = scalar[:n]
-    e = scalar[n:]
     if real_case:
-        return EquivalenceWitness(_sign_letter(d.real), _sign_letter(e.real))
-    return EquivalenceWitness(UnimodularDiagonal(d), UnimodularDiagonal(e))
+        scalar = scalar.real
+    return EquivalenceWitness(UnimodularDiagonal(scalar[:n]), UnimodularDiagonal(scalar[n:]))

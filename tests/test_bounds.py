@@ -952,6 +952,21 @@ class TestWalk:
         split = mu_bounds(a, 5, threads=2, use_shortcut=False)
         assert mapped and bounds_report_to_json(split) == bounds_report_to_json(report)
 
+    def test_one_thread_never_splits(self):
+        # At threads=1 a batch of any size goes to its kernel in one call: no
+        # chunk list, and no concatenated copy of the chunks' results.
+        import absnorm.bounds as bounds_mod
+
+        calls = []
+
+        def kernel(b):
+            calls.append(len(b))
+            return np.copy(b)
+
+        batch = np.random.default_rng(49).standard_normal((2 * bounds_mod._CHUNK + 1, 2, 2))
+        assert np.array_equal(bounds_mod._chunked(batch, kernel, 1), batch)
+        assert calls == [len(batch)]
+
     @pytest.mark.parametrize("job", ["c3d4q4", "hadamard@1e-200", "hadamard@1e+100"])
     def test_forced_splits_match_on_bench_inputs(self, monkeypatch, job):
         # The bench's complex grid job and its Hadamard scale probes, split
@@ -1109,10 +1124,18 @@ def _walk_results(a, grid_q, depth, monkeypatch):
 
 
 def _unscaled(monkeypatch):
-    """Force every walk to run without a balanced ratio, as before the balanced cut."""
+    """Force every walk to run without a balanced ratio, as before the balanced cut.
+
+    Only the walk loses the ratio: ``_balance`` itself is untouched, so whatever
+    else reads it reads the same on both sides of a comparison."""
     import absnorm.bounds as bounds_mod
 
-    monkeypatch.setattr(bounds_mod, "_balance", lambda s, perron=None: None)
+    levels = bounds_mod._levels
+
+    def unscaled(arr, da, max_depth, threads, floor=None, ratio=None):
+        return levels(arr, da, max_depth, threads, floor)
+
+    monkeypatch.setattr(bounds_mod, "_levels", unscaled)
 
 
 class TestBalancedCut:
@@ -1392,8 +1415,6 @@ class TestLayouts:
 def _whole_array_tie(values):
     """The tie rule over one whole array: the oracle for the streamed one."""
     vmax = float(values.max())
-    if not np.isfinite(vmax):
-        return int(np.argmax(values)), vmax
     thresh = vmax - 1e-12 * max(1.0, abs(vmax))
     first = int(np.argmax(values >= thresh))
     return first, float(values[first])
@@ -1405,20 +1426,18 @@ class TestStreamedTie:
         rng = np.random.default_rng(44)
         for _ in range(300):
             size = int(rng.integers(1, 200))
-            kind = rng.integers(5)
+            kind = rng.integers(4)
             if kind == 0:
                 values = rng.random(size)
             elif kind == 1:  # all tie, within the slack or exactly
                 values = 1.5 * (1 + 1e-13 * rng.random(size)) if rng.random() < 0.5 else np.full(size, 0.7)
             elif kind == 2:  # a few distinct values, many ties
                 values = rng.choice([0.0, 2.0, 2.0 * (1 - 5e-13), 2.0 * (1 - 2e-12)], size)
-            else:  # NaN or inf sprinkled in
+            else:  # gated-out terminals read 0
                 values = rng.random(size) * 3
-                values[rng.random(size) < 0.05] = np.nan if kind == 3 else np.inf
+                values[rng.random(size) < 0.5] = 0.0
             yield rng, values
-        yield rng, np.array([np.nan])
-        yield rng, np.array([np.inf, np.nan])
-        yield rng, np.full(5, np.inf)
+        yield rng, np.zeros(5)
         yield rng, np.arange(100.0)
 
     def test_matches_whole_array(self):
@@ -1426,19 +1445,53 @@ class TestStreamedTie:
 
         for rng, values in self._arrays():
             cuts = np.sort(rng.integers(0, len(values) + 1, int(rng.integers(0, 6))))
-            blocks = [bounds_mod._leaders(b) for b in np.split(values, cuts)]
+            starts = np.concatenate(([0], cuts))
+            blocks = [bounds_mod._leaders(b, start) for b, start in zip(np.split(values, cuts), starts)]
             want = _whole_array_tie(values)
             # Split into blocks, and whole as one block is read.
             for got in (bounds_mod._first_within_tie(blocks), bounds_mod._first_tie(values)):
-                assert got[0] == want[0]
-                assert got[1] == want[1] or (np.isnan(got[1]) and np.isnan(want[1]))
+                assert got == want
 
     def test_all_tie_keeps_one_leader(self):
         import absnorm.bounds as bounds_mod
 
-        lead, values, nan, size = bounds_mod._leaders(np.full(4096, 2.5))
-        assert lead.tolist() == [0] and values.tolist() == [2.5]
-        assert nan.size == 0 and size == 4096
+        lead, values = bounds_mod._leaders(np.full(4096, 2.5), 8192)
+        assert lead.tolist() == [8192] and values.tolist() == [2.5]
+
+    def test_tie_rule_reads_finite_nonnegative_values(self, monkeypatch):
+        # The walk runs on 2^-e A, so every product the node budget admits is
+        # finite, and each value the tie rule reads is 0 or rho^(1/depth) of a
+        # finite terminal: the rule has no arm for NaN or infinity.
+        import absnorm.bounds as bounds_mod
+
+        seen = {"first_tie": [], "leaders": []}
+        first_tie, leaders = bounds_mod._first_tie, bounds_mod._leaders
+
+        def first_tie_spy(values):
+            seen["first_tie"].append(values)
+            return first_tie(values)
+
+        def leaders_spy(values, start):
+            seen["leaders"].append(values)
+            return leaders(values, start)
+
+        monkeypatch.setattr(bounds_mod, "_first_tie", first_tie_spy)
+        monkeypatch.setattr(bounds_mod, "_leaders", leaders_spy)
+        rng = np.random.default_rng(45)
+        cases = [(rng.standard_normal((n, n)), 2, depth) for n, depth in ((3, 5), (4, 4), (5, 3), (6, 2))]
+        # 2^26 words of depth 26 is the largest 2x2 tree the node budget admits.
+        cases += [(rng.standard_normal((2, 2)), 2, depth) for depth in (26, 26, 12)]
+        cases += [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 4, 3) for n in (2, 3)]
+        cases += [(np.triu(rng.standard_normal((3, 3))), 4, 3)]
+        cases += [(scale * HADAMARD, 2, 4) for scale in (1e-200, 1e100)]
+        cases += [(scale * rng.standard_normal((3, 3)), 2, 4) for scale in (1e-300, 1e300)]
+        for block in (bounds_mod._BLOCK, 16):
+            monkeypatch.setattr(bounds_mod, "_BLOCK", block)
+            for a, grid_q, depth in cases:
+                mu_bounds(a, depth, grid_q=grid_q, use_shortcut=False)
+        assert len(seen["first_tie"]) > 100 and len(seen["leaders"]) > 100
+        for values in seen["first_tie"] + seen["leaders"]:
+            assert values.size and np.all(np.isfinite(values)) and np.all(values >= 0)
 
 
 def _bracket_batches():

@@ -468,6 +468,17 @@ class TestFlags:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "--threads" in captured.err
 
+    def test_parser_is_built_once(self, capsys, sharp_file, hadamard_file):
+        # Repeated in-process calls share one parser, and a flag of one call
+        # does not leak into the next.
+        import absnorm.cli as cli
+
+        parser = cli.build_parser()
+        _, first = run(capsys, ["mu", sharp_file, "--depth", "2", "--format", "json"])
+        _, second = run(capsys, ["mu", hadamard_file, "--format", "json"])
+        assert cli.build_parser() is parser
+        assert json.loads(first)["depth"] == 1 and json.loads(second)["depth"] == 6
+
 
 class TestBlasThreads:
     def test_mu_json_independent_of_blas_threads(self, tmp_path):

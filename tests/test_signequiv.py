@@ -13,7 +13,6 @@ from absnorm import (
     is_nonnegative,
     sign_equivalent_to_abs,
 )
-from absnorm.diagonals import _sign_letter
 from absnorm.matrices import REAL
 from absnorm.signequiv import _cycle_phase, _times_conj
 
@@ -229,7 +228,7 @@ def _reference_sign_equivalent(a, tol=1e-9):
                         return conflict_cycle(u, v)
     d, e = scalar[:n], scalar[n:]
     if real_case:
-        return EquivalenceWitness(_sign_letter(d.real), _sign_letter(e.real))
+        return EquivalenceWitness(UnimodularDiagonal(d.real), UnimodularDiagonal(e.real))
     return EquivalenceWitness(UnimodularDiagonal(d), UnimodularDiagonal(e))
 
 
